@@ -8,6 +8,7 @@ integer arithmetic on finitely generated abelian groups.
 """
 
 from .errors import (
+    CertificateFailed,
     DimensionMismatch,
     DocumentError,
     IllDefined,
@@ -33,7 +34,6 @@ from .abelian import (
     FreeBasedGroup,
     GroupHom,
     cokernel,
-    direct_sum,
     ext1,
     free_group,
     identity_hom,

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import certify
 from .errors import DimensionMismatch, IllDefined, InfiniteGroup, NotFree
 from .intlinalg import (
     IntMatrix,
@@ -105,7 +106,7 @@ class FgAbGroup:
         for row in self.rel_rows:
             p = next(j for j, x in enumerate(row) if x)
             bounds[p] = row[p]
-        assert all(b is not None for b in bounds)
+        certify.check(None not in bounds, "elements", "relation HNF is not square triangular")
         return [v for v in itertools.product(*(range(b) for b in bounds))]
 
     def free_basis(self):
@@ -234,9 +235,8 @@ def kernel(h):
     P = preimage_lattice(h.matrix, h.dst.rel_rows)
     rels = []
     for j in range(h.src.relations.cols):
-        x = solve(P, h.src.relations.col(j))
-        assert x is not None, "source relations must lie in the kernel lattice"
-        rels.append(list(x))
+        rels.append(list(certify.found(solve(P, h.src.relations.col(j)), "kernel", None,
+                                       "source relations must lie in the kernel lattice")))
     K = mk_group(P.cols, IntMatrix.from_cols(rels, rows=P.cols))
     incl = GroupHom(K, h.src, P, _checked=True)
     return K, incl
@@ -302,10 +302,6 @@ class DirectSum:
                 for j in range(m.cols):
                     row[c0 + j] = m.data[i][j]
         return IntMatrix(self.group.ngens, source.group.ngens, out)
-
-
-def direct_sum(parts):
-    return DirectSum(parts)
 
 
 def ext1(c, k):
@@ -381,7 +377,7 @@ def lift_free_hom(q, g):
         if x is None:
             raise IllDefined("map does not lift through the surjection")
         cols.append(list(x))
-    P = IntMatrix.from_cols(cols, rows=q.src.ngens) if cols else IntMatrix.zeros(q.src.ngens, 0)
+    P = IntMatrix.from_cols(cols, rows=q.src.ngens)
     return GroupHom(g.src, q.src, P @ C, _checked=True)
 
 

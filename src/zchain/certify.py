@@ -1,0 +1,96 @@
+"""Certificates: the checks every construction passes before it returns.
+
+Each check returns or raises CertificateFailed with the construction, the
+degree (None for a whole map) and a JSON-ready witness; only this module
+raises it.  No check is an assert, so all of them run under ``python -O``.
+"""
+
+from __future__ import annotations
+
+from .errors import CertificateFailed
+from .intlinalg import IntMatrix, row_lattice
+
+
+def check(ok, construction, message, degree=None, witness=None):
+    if not ok:
+        raise CertificateFailed(message, construction, degree, witness)
+
+
+def found(x, construction, degree, message):
+    """x, unless it is the None of an unsolvable system that must be solvable."""
+    check(x is not None, construction, message, degree)
+    return x
+
+
+def classified(cls, prop, construction, piece):
+    """cls has the property prop, e.g. "acyclic_cofibration"."""
+    check(getattr(cls, prop), construction,
+          f"{piece} failed its {prop.replace('_', ' ')} certificate", witness=cls.as_dict())
+
+
+def _nonzero_column(m, g):
+    """The first column of m that is nonzero in g, as a witness, or None."""
+    for j in range(m.cols):
+        if not g.contains_zero(m.col(j)):
+            return {"generator": j, "value": list(g.canon(m.col(j)))}
+    return None
+
+
+def equal_maps(got, expected, construction, message):
+    """got == expected; the witness is the first generator they disagree on."""
+    if got == expected:
+        return
+    degree = witness = None
+    if got.src == expected.src and got.dst == expected.dst:
+        for degree in sorted(set(got.src.degrees()) | set(got.dst.degrees())):
+            d = got.component(degree) - expected.component(degree)
+            witness = _nonzero_column(d.matrix, d.dst)
+            if witness is not None:
+                break
+    check(False, construction, message, degree, witness)
+
+
+def contraction(a, s):
+    """d s + s d = identity in every degree of a."""
+    for n in a.degrees():
+        g = a.group(n)
+        m = a.diff(n + 1).matrix @ s.component(n) + s.component(n - 1) @ a.diff(n).matrix
+        bad = _nonzero_column(m - IntMatrix.identity(g.ngens), g)
+        check(bad is None, "is_contractible", "assembled homotopy is not a contraction", n, bad)
+
+
+def homotopy_identity(r, k):
+    """d r + r d = k in every degree, for a homotopy r on k: A -> K."""
+    a, kc = k.src, k.dst
+    for n in a.window(1):
+        m = (kc.diff(n + 1).matrix @ r.component(n)
+             + r.component(n - 1) @ a.diff(n).matrix
+             - k.component(n).matrix)
+        bad = _nonzero_column(m, kc.group(n))
+        check(bad is None, "nullhomotopy", "homotopy identity failed", n, bad)
+
+
+def extension(ext):
+    """k mono, r epi, image of k = kernel of r, in every degree."""
+    from .abelian import cokernel, kernel, preimage_lattice
+
+    for n in sorted(set(ext.T.degrees()) | set(ext.K.degrees()) | set(ext.C.degrees())):
+        k_n = ext.k.component(n)
+        r_n = ext.r.component(n)
+        check(kernel(k_n)[0].is_trivial(), "build_T", "kernel piece fails to embed", n)
+        check(cokernel(r_n)[0].is_trivial(), "build_T", "quotient piece fails to surject", n)
+        check((r_n @ k_n).is_zero(), "build_T", "composite through the extension is nonzero", n)
+        t_n = ext.T.group(n)
+        rel_cols = [t_n.relations.col(j) for j in range(t_n.relations.cols)]
+        img_rows = row_lattice(
+            [k_n.matrix.col(j) for j in range(k_n.matrix.cols)] + rel_cols, t_n.ngens)
+        ker_lat = preimage_lattice(r_n.matrix, ext.C.group(n).rel_rows)
+        ker_rows = row_lattice(
+            [ker_lat.col(j) for j in range(ker_lat.cols)] + rel_cols, t_n.ngens)
+        check(img_rows == ker_rows, "build_T", "extension is not exact in the middle", n)
+
+
+def ladder(rows, key, construction, message):
+    """Every rung of a homology ladder is an isomorphism; the witness is the first that is not."""
+    bad = next((row for row in rows if not row[key]), None)
+    check(bad is None, construction, message, bad and bad["degree"], bad)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 JSON documents in, JSON (or text) reports out.  Exit code 0 means success,
-1 means a mathematical failure (a counterexample was found and its
-certificate emitted), 2 means an input or validation error.  The
-ZCHAIN_MAX_RANK environment variable (default 64) caps every materialized
-rank; inputs or constructions that would exceed it abort with exit code 2.
+1 means a mathematical failure (a counterexample was found, or a
+construction failed its certificate, and the evidence emitted), 2 means an
+input or validation error.  The ZCHAIN_MAX_RANK environment variable
+(default 64) caps every materialized rank; inputs or constructions that
+would exceed it abort with exit code 2.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import json
 import os
 import sys
 
-from .errors import DocumentError, RankCapExceeded, ZchainError
-from .documents import complex_to_doc, doc_to_complex, doc_to_map, map_to_doc, matrix_to_json
+from .errors import CertificateFailed, DocumentError, RankCapExceeded, ZchainError
+from .documents import (complex_to_doc, doc_to_complex, doc_to_map, json_to_matrix, map_to_doc,
+                        matrix_to_json)
 from .complexes import tensor
 from .factor import factor_acf_fib, factor_cof_afb, gamma
 from .intlinalg import snf
@@ -94,8 +96,6 @@ def _cmd_snf(args, cap):
                             code="bad_document")
     rows = len(data)
     cols = len(data[0]) if rows else 0
-    from .documents import json_to_matrix
-
     m = json_to_matrix(data, rows, cols, "matrix")
     if max(rows, cols) > cap:
         raise RankCapExceeded(f"matrix side {max(rows, cols)} exceeds the cap {cap}")
@@ -310,13 +310,10 @@ def main(argv=None):
     try:
         cap = _max_rank()
         payload, code = args.fn(args, cap)
-    except (DocumentError, RankCapExceeded) as e:
+    except ZchainError as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e),
                          **getattr(e, "details", {})}}, args.format)
-        return 2
-    except ZchainError as e:
-        _emit({"error": {"type": type(e).__name__, "message": str(e)}}, args.format)
-        return 2
+        return 1 if isinstance(e, CertificateFailed) else 2
     _emit(payload, args.format)
     return code
 

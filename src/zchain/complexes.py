@@ -10,7 +10,9 @@ cycle lifts, which is enough to compute induced maps exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
+from . import certify
 from .errors import DimensionMismatch, NotAChainMap, NotAComplex
 from .abelian import (
     DirectSum,
@@ -92,14 +94,8 @@ class ChainComplex:
     def is_zero(self):
         return all(self.group(n).is_trivial() for n in self.degrees())
 
-    def is_degreewise_finite(self):
-        return all(self.group(n).is_finite() for n in self.degrees())
-
     def is_degreewise_free(self):
         return all(not self.group(n).invariant_factors for n in self.degrees())
-
-    def max_ngens(self):
-        return max((self.group(n).ngens for n in self.degrees()), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
@@ -139,9 +135,10 @@ def zero_complex():
 
 
 class ChainMap:
-    """Degreewise homs commuting with the differentials."""
+    """Degreewise homs commuting with the differentials.  Immutable, so what
+    is derived from the map alone is memoized on it (see ``memoized_on_map``)."""
 
-    __slots__ = ("src", "dst", "_components")
+    __slots__ = ("src", "dst", "_components", "_memo")
 
     def __init__(self, src, dst, components, validate=True):
         self.src = src
@@ -154,6 +151,7 @@ class ChainMap:
                 raise NotAChainMap(f"component at degree {n} has wrong endpoints")
             comps[n] = c
         self._components = comps
+        self._memo = {}
         if validate:
             degrees = set(src.degrees()) | set(dst.degrees())
             for n in sorted(degrees | {d + 1 for d in degrees}):
@@ -207,6 +205,16 @@ class ChainMap:
 
     def is_zero(self):
         return all(self.component(n).is_zero() for n in set(self.src.degrees()) | set(self.dst.degrees()))
+
+
+def memoized_on_map(fn):
+    """fn(f), computed once per chain map f and kept on f."""
+    @wraps(fn)
+    def once(f):
+        if fn.__name__ not in f._memo:
+            f._memo[fn.__name__] = fn(f)
+        return f._memo[fn.__name__]
+    return once
 
 
 def mk_chain_map(src, dst, components):
@@ -308,13 +316,11 @@ def _homology_at(a, n):
     cycles = preimage_lattice(d_n.matrix, a.group(n - 1).rel_rows)
     rels = []
     for j in range(d_up.matrix.cols):
-        x = solve(cycles, d_up.matrix.col(j))
-        assert x is not None, "boundaries must be cycles"
-        rels.append(list(x))
+        rels.append(list(certify.found(solve(cycles, d_up.matrix.col(j)), "homology", n,
+                                       "boundaries must be cycles")))
     for j in range(gn.relations.cols):
-        x = solve(cycles, gn.relations.col(j))
-        assert x is not None, "relations must lie in the cycle lattice"
-        rels.append(list(x))
+        rels.append(list(certify.found(solve(cycles, gn.relations.col(j)), "homology", n,
+                                       "relations must lie in the cycle lattice")))
     h = mk_group(cycles.cols, IntMatrix.from_cols(rels, rows=cycles.cols))
     return HomologyClassData(n, h, cycles, gn)
 
@@ -332,7 +338,7 @@ def induced_map(f, n):
     for j in range(hs.group.ngens):
         img = comp.matrix.mul_vec(hs.cycle_lift.col(j))
         cols.append(list(hd.class_of(img)))
-    m = IntMatrix.from_cols(cols, rows=hd.group.ngens) if cols else IntMatrix.zeros(hd.group.ngens, 0)
+    m = IntMatrix.from_cols(cols, rows=hd.group.ngens)
     return mk_hom(hs.group, hd.group, m)
 
 
@@ -378,6 +384,7 @@ def dsum_chain_maps(maps):
     return total
 
 
+@memoized_on_map
 def kernel_complex(f):
     """Degreewise kernels of a chain map, with the inclusion."""
     groups = {}
@@ -397,6 +404,7 @@ def kernel_complex(f):
     return kc, incl_map
 
 
+@memoized_on_map
 def cokernel_complex(f):
     """Degreewise cokernels of a chain map, with the projection."""
     groups = {}

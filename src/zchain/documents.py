@@ -46,15 +46,6 @@ def json_to_matrix(data, rows, cols, where):
     return IntMatrix(rows, cols, out)
 
 
-def _free_matrix(data, where):
-    """Parse a matrix whose dimensions are dictated by the data itself."""
-    if not isinstance(data, list):
-        raise DocumentError(f"{where}: matrix must be a list of rows", code="bad_matrix")
-    rows = len(data)
-    cols = len(data[0]) if rows else 0
-    return json_to_matrix(data, rows, cols, where)
-
-
 def complex_to_doc(c: ChainComplex):
     doc = {
         "schema_version": SCHEMA_VERSION,

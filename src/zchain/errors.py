@@ -61,6 +61,15 @@ class PreconditionFailed(ZchainError):
     pass
 
 
+class CertificateFailed(ZchainError):
+    """A constructed object failed its own certificate (raised by zchain.certify)."""
+
+    def __init__(self, message, construction, degree=None, witness=None):
+        where = construction if degree is None else f"{construction}, degree {degree}"
+        super().__init__(f"{message} [{where}]")
+        self.details = {"construction": construction, "degree": degree, "witness": witness}
+
+
 class RankCapExceeded(ZchainError):
     """A materialized group would exceed the configured rank cap."""
 

@@ -17,17 +17,19 @@ second construction collapses to the cofibrant replacement Gamma(B)_n =
 I(B_n) + I^2(B_{n-1}), a degreewise-free complex with a surjective
 quasi-isomorphism onto B.
 
-Every factorization is certified at construction: d^2 = 0, the composite
-equals f exactly, and the two pieces classify as promised.
+Every factorization is certified at construction through ``zchain.certify``:
+d^2 = 0, the composite equals f exactly, and the two pieces classify as
+promised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfiniteGroup, PreconditionFailed
+from . import certify
+from .errors import InfiniteGroup
 from .abelian import DirectSum, GroupHom
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, zero_chain_map, zero_complex
 from .groupring import IGroup, I2Group, I2_map, I_map, build_I, build_I2
 from .intlinalg import IntMatrix
 from .modelcls import MapClassification, classify
@@ -138,13 +140,12 @@ def factor_acf_fib(f: ChainMap, max_rank=None) -> Factorization:
         p_comps[n] = dst_ds.block_matrix(src_ds, blocks)
     p = ChainMap(w, b, p_comps, validate=True)
 
-    _assert_composite(p, j, f)
+    certify.equal_maps(p @ j, f, "factor_acf_fib",
+                       "factorization composite does not reproduce the map")
     cls_j = classify(j)
     cls_p = classify(p)
-    if not cls_j.acyclic_cofibration:
-        raise AssertionError("left piece failed its acyclic cofibration certificate")
-    if not cls_p.fibration:
-        raise AssertionError("right piece failed its fibration certificate")
+    certify.classified(cls_j, "acyclic_cofibration", "factor_acf_fib", "left piece")
+    certify.classified(cls_p, "fibration", "factor_acf_fib", "right piece")
     return Factorization(w, j, p, summands, cls_j, cls_p)
 
 
@@ -220,13 +221,12 @@ def factor_cof_afb(f: ChainMap, max_rank=None) -> Factorization:
         p_comps[n] = dst_ds.block_matrix(src_ds, blocks)
     p = ChainMap(x, b, p_comps, validate=True)
 
-    _assert_composite(p, i, f)
+    certify.equal_maps(p @ i, f, "factor_cof_afb",
+                       "factorization composite does not reproduce the map")
     cls_i = classify(i)
     cls_p = classify(p)
-    if not cls_i.cofibration:
-        raise AssertionError("left piece failed its cofibration certificate")
-    if not cls_p.acyclic_fibration:
-        raise AssertionError("right piece failed its acyclic fibration certificate")
+    certify.classified(cls_i, "cofibration", "factor_cof_afb", "left piece")
+    certify.classified(cls_p, "acyclic_fibration", "factor_cof_afb", "right piece")
     return Factorization(x, i, p, summands, cls_i, cls_p)
 
 
@@ -236,8 +236,6 @@ def gamma(b: ChainComplex, max_rank=None):
     the surjective quasi-isomorphism p(beta + beta') = theta(beta)."""
     _check_finite(b, "complex")
     if b.support is None:
-        from .complexes import zero_chain_map, zero_complex
-
         z = zero_complex()
         return z, zero_chain_map(z, b)
     ib = _IData(b, max_rank)
@@ -262,19 +260,11 @@ def gamma(b: ChainComplex, max_rank=None):
         dst_ds = DirectSum([b.group(n)])
         p_comps[n] = dst_ds.block_matrix(layouts[n], {(0, 0): ib.i(n).theta_restricted.matrix})
     p = ChainMap(g, b, p_comps, validate=True)
-    if not g.is_degreewise_free():
-        raise AssertionError("replacement must be degreewise free")
-    cls = classify(p)
-    if not cls.acyclic_fibration:
-        raise PreconditionFailed("replacement projection failed certification")
+    certify.check(g.is_degreewise_free(), "gamma", "replacement is not degreewise free")
+    certify.classified(classify(p), "acyclic_fibration", "gamma", "replacement projection")
     return g, p
 
 
 def _trivial_factorization(f):
     cls = classify(f)
     return Factorization(f.src, ChainMap(f.src, f.src, {}, validate=False), f, {}, cls, cls)
-
-
-def _assert_composite(right, left, f):
-    if (right @ left) != f:
-        raise AssertionError("factorization composite does not reproduce the map")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import certify
 from .errors import InfiniteGroup, RankCapExceeded
 from .abelian import (
     FgAbGroup,
@@ -99,7 +100,7 @@ def build_I(a, max_rank=None):
     _require_finite(a, max_rank)
     elements = tuple(a.elements())
     zero = elements[0]
-    assert zero == a.zero()
+    certify.check(zero == a.zero(), "build_I", "the first element is not zero")
     nonzero = tuple(e for e in elements if e != zero)
     labels = tuple(f"{_label(e)}-{_label(zero)}" for e in nonzero)
     free = FreeBasedGroup(labels)
@@ -112,8 +113,7 @@ def build_I(a, max_rank=None):
         col[pos[e]] = 1
         col[pos[zero]] = -1
         incl_cols.append(col)
-    incl = (IntMatrix.from_cols(incl_cols, rows=len(elements))
-            if incl_cols else IntMatrix.zeros(len(elements), 0))
+    incl = IntMatrix.from_cols(incl_cols, rows=len(elements))
     return IGroup(
         base=a,
         free=free,
@@ -133,7 +133,8 @@ def build_I2(a, max_rank=None, ig=None):
     i2 = I2Group(base=a, free=FreeBasedGroup(labels), inclusion_matrix=lat)
     # the quotient I/I^2 recovers the group itself
     q = mk_group(ig.rank, lat)
-    assert is_isomorphic(q, a), "I/I^2 must be isomorphic to the base group"
+    certify.check(is_isomorphic(q, a), "build_I2", "I/I^2 is not isomorphic to the base group",
+                  witness=list(a.invariant_factors))
     return i2
 
 
@@ -150,8 +151,7 @@ def I_map(f, i_src=None, i_dst=None, max_rank=None):
         if img != f.dst.zero():
             col[i_dst.index[img]] = 1
         cols.append(col)
-    m = (IntMatrix.from_cols(cols, rows=i_dst.rank)
-         if cols else IntMatrix.zeros(i_dst.rank, 0))
+    m = IntMatrix.from_cols(cols, rows=i_dst.rank)
     return mk_hom(i_src.free.group, i_dst.free.group, m)
 
 
@@ -169,9 +169,7 @@ def I2_map(f, i2_src=None, i2_dst=None, i_src=None, i_dst=None, max_rank=None):
     cols = []
     for j in range(i2_src.rank):
         v = im.matrix.mul_vec(i2_src.inclusion_matrix.col(j))
-        x = solve(i2_dst.inclusion_matrix, v)
-        assert x is not None, "I(f) must carry I^2 into I^2"
-        cols.append(list(x))
-    m = (IntMatrix.from_cols(cols, rows=i2_dst.rank)
-         if cols else IntMatrix.zeros(i2_dst.rank, 0))
+        cols.append(list(certify.found(solve(i2_dst.inclusion_matrix, v), "I2_map", None,
+                                       "I(f) must carry I^2 into I^2")))
+    m = IntMatrix.from_cols(cols, rows=i2_dst.rank)
     return mk_hom(i2_src.free.group, i2_dst.free.group, m)

@@ -21,13 +21,15 @@ with i injective (cokernel C) and q surjective (kernel K), is:
 
 Nullhomotopies against acyclic complexes and graded lifts through
 surjections are the workhorses.  Every choice is resolved by canonical
-normal-form solutions, so the returned lift is deterministic.
+normal-form solutions, so the returned lift is deterministic; every homotopy,
+section, extension and lift is certified through ``zchain.certify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import certify
 from .errors import (
     NotAcyclic,
     NotAcyclicFibration,
@@ -38,7 +40,7 @@ from .errors import (
     NotMonoNotEpi,
     PreconditionFailed,
 )
-from .abelian import factor_through, kernel, lift_free_hom, mk_hom, preimage
+from .abelian import factor_through, lift_free_hom, mk_hom, preimage
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -87,18 +89,6 @@ class Homotopy:
         return m
 
 
-def _check_homotopy_identity(r, k):
-    """d r + r d = k, degreewise."""
-    a, kc = k.src, k.dst
-    for n in set(a.window(1)):
-        m = (kc.diff(n + 1).matrix @ r.component(n)
-             + r.component(n - 1) @ a.diff(n).matrix
-             - k.component(n).matrix)
-        g = kc.group(n)
-        if not all(g.contains_zero(m.col(j)) for j in range(m.cols)):
-            raise AssertionError("homotopy identity failed")
-
-
 def nullhomotopy(k: ChainMap) -> Homotopy:
     """r with d r + r d = k, for k: A -> K with A degreewise free, K acyclic.
 
@@ -121,8 +111,7 @@ def nullhomotopy(k: ChainMap) -> Homotopy:
             if x is None:
                 raise NotAcyclic("cycle is not a boundary in the target")
             cols.append(list(x))
-        t[n] = (IntMatrix.from_cols(cols, rows=kc.group(n + 1).ngens)
-                if cols else IntMatrix.zeros(kc.group(n + 1).ngens, 0))
+        t[n] = IntMatrix.from_cols(cols, rows=kc.group(n + 1).ngens)
     comps = {}
     for n in a.degrees():
         sd = split.degrees[n]
@@ -137,15 +126,14 @@ def nullhomotopy(k: ChainMap) -> Homotopy:
             if x is None:
                 raise NotAcyclic("cycle is not a boundary in the target")
             scols.append(list(x))
-        s = (IntMatrix.from_cols(scols, rows=kc.group(n + 1).ngens)
-             if scols else IntMatrix.zeros(kc.group(n + 1).ngens, 0))
+        s = IntMatrix.from_cols(scols, rows=kc.group(n + 1).ngens)
         comps[n] = s @ sd.y_coords + t[n] @ sd.z_coords
     r = Homotopy(a, kc, comps)
-    _check_homotopy_identity(r, k)
+    certify.homotopy_identity(r, k)
     return r
 
 
-def lift_against_acyclic_fibration(g: ChainMap, q: ChainMap, kernel_data=None) -> ChainMap:
+def lift_against_acyclic_fibration(g: ChainMap, q: ChainMap) -> ChainMap:
     """Chain map h with q o h = g, for a degreewise-free source and an
     acyclic fibration q.
 
@@ -159,11 +147,8 @@ def lift_against_acyclic_fibration(g: ChainMap, q: ChainMap, kernel_data=None) -
     for n in a.degrees():
         if a.group(n).invariant_factors:
             raise NotFree(f"source has torsion in degree {n}")
-    if kernel_data is None:
-        kernel_data = kernel_complex(q)
-    kc, incl = kernel_data
-    coker, _ = cokernel_complex(q)
-    if not all(coker.group(n).is_trivial() for n in coker.degrees()):
+    kc, incl = kernel_complex(q)
+    if not cokernel_complex(q)[0].is_zero():
         raise NotAcyclicFibration("map is not surjective")
     if not kc.is_acyclic():
         raise NotAcyclicFibration("kernel is not acyclic")
@@ -189,17 +174,16 @@ def lift_against_acyclic_fibration(g: ChainMap, q: ChainMap, kernel_data=None) -
         # r lands in (suspended kernel)_{n+1} = K_n; push into the total space
         comps[n] = hp(n) + incl.component(n).matrix @ r.component(n)
     h = ChainMap(a, q.src, comps, validate=True)
-    if (q @ h) != g:
-        raise AssertionError("constructed lift does not cover the map")
+    certify.equal_maps(q @ h, g, "lift_against_acyclic_fibration",
+                       "constructed lift does not cover the map")
     return h
 
 
-def split_ses(p: ChainMap, kernel_data=None) -> ChainMap:
+def split_ses(p: ChainMap) -> ChainMap:
     """Section of a surjection with acyclic kernel onto a degreewise-free
     target, by lifting the identity."""
-    s = lift_against_acyclic_fibration(identity_chain_map(p.dst), p, kernel_data)
-    if (p @ s) != identity_chain_map(p.dst):
-        raise AssertionError("section identity failed")
+    s = lift_against_acyclic_fibration(identity_chain_map(p.dst), p)
+    certify.equal_maps(p @ s, identity_chain_map(p.dst), "split_ses", "section identity failed")
     return s
 
 
@@ -212,8 +196,7 @@ def section_over_contractible(r: ChainMap) -> ChainMap:
     split = split_free_complex(c)  # NotFree on torsion
     if is_contractible(c, split) is None:
         raise NotContractible("target complex is not contractible")
-    coker, _ = cokernel_complex(r)
-    if not all(coker.group(n).is_trivial() for n in coker.degrees()):
+    if not cokernel_complex(r)[0].is_zero():
         raise PreconditionFailed("map is not surjective")
     stilde = {}
     for n in c.degrees():
@@ -221,11 +204,10 @@ def section_over_contractible(r: ChainMap) -> ChainMap:
         cols = []
         for j in range(sd.y_amb.cols):
             target = c.group(n).canon(sd.y_amb.col(j))
-            x = preimage(r.component(n), target)
-            assert x is not None, "surjection must hit the free basis"
-            cols.append(list(x))
-        stilde[n] = (IntMatrix.from_cols(cols, rows=r.src.group(n).ngens)
-                     if cols else IntMatrix.zeros(r.src.group(n).ngens, 0))
+            cols.append(list(certify.found(preimage(r.component(n), target),
+                                           "section_over_contractible", n,
+                                           "surjection must hit the free basis")))
+        stilde[n] = IntMatrix.from_cols(cols, rows=r.src.group(n).ngens)
     comps = {}
     for n in c.degrees():
         sd = split.degrees[n]
@@ -238,8 +220,8 @@ def section_over_contractible(r: ChainMap) -> ChainMap:
         else:
             comps[n] = s_on_y
     s = ChainMap(c, r.src, comps, validate=True)
-    if (r @ s) != identity_chain_map(c):
-        raise AssertionError("section identity failed")
+    certify.equal_maps(r @ s, identity_chain_map(c), "section_over_contractible",
+                       "section identity failed")
     return s
 
 
@@ -268,10 +250,7 @@ def build_T(problem: LiftProblem) -> Extension:
     """The extension K -> T -> C of a lifting square, fully witnessed and
     checked for exactness."""
     i, q, f, g = problem.i, problem.q, problem.f, problem.g
-    inj = all(kernel(i.component(n))[0].is_trivial()
-              for n in set(i.src.degrees()) | set(i.dst.degrees()))
-    coker_q, _ = cokernel_complex(q)
-    if not inj or not all(coker_q.group(n).is_trivial() for n in coker_q.degrees()):
+    if not kernel_complex(i)[0].is_zero() or not cokernel_complex(q)[0].is_zero():
         raise NotMonoNotEpi("square sides are not (mono, epi)")
     c, p_c = cokernel_complex(i)
     kq, j_k = kernel_complex(q)
@@ -291,34 +270,8 @@ def build_T(problem: LiftProblem) -> Extension:
         itilde=itilde, ktilde=ktilde, ptilde=p_t, z_incl=pb.incl, pC=p_c,
         problem=problem,
     )
-    _verify_extension(ext)
+    certify.extension(ext)
     return ext
-
-
-def _verify_extension(ext):
-    """k mono, r epi, image of k = kernel of r, in every degree."""
-    from .abelian import cokernel as group_cokernel
-    from .abelian import preimage_lattice
-    from .intlinalg import row_lattice
-
-    for n in set(ext.T.degrees()) | set(ext.K.degrees()) | set(ext.C.degrees()):
-        k_n = ext.k.component(n)
-        r_n = ext.r.component(n)
-        if not kernel(k_n)[0].is_trivial():
-            raise AssertionError("kernel piece fails to embed")
-        if not group_cokernel(r_n)[0].is_trivial():
-            raise AssertionError("quotient piece fails to surject")
-        if not (r_n @ k_n).is_zero():
-            raise AssertionError("composite through the extension is nonzero")
-        t_n = ext.T.group(n)
-        rel_cols = [t_n.relations.col(j) for j in range(t_n.relations.cols)]
-        img_rows = row_lattice(
-            [k_n.matrix.col(j) for j in range(k_n.matrix.cols)] + rel_cols, t_n.ngens)
-        ker_lat = preimage_lattice(r_n.matrix, ext.C.group(n).rel_rows)
-        ker_rows = row_lattice(
-            [ker_lat.col(j) for j in range(ker_lat.cols)] + rel_cols, t_n.ngens)
-        if img_rows != ker_rows:
-            raise AssertionError("extension is not exact in the middle")
 
 
 def lift_from_splitting(ext: Extension, n_map: ChainMap) -> ChainMap:
@@ -341,15 +294,15 @@ def lift_from_splitting(ext: Extension, n_map: ChainMap) -> ChainMap:
         cols = []
         for j in range(bn):
             rhs = tuple(1 if idx == j else 0 for idx in range(bn)) + tuple(target_t.col(j))
-            x = solve(aug, rhs)
-            assert x is not None, "pullback lift must exist for a splitting"
+            x = certify.found(solve(aug, rhs), "lift_from_splitting", deg,
+                              "pullback lift must exist for a splitting")
             cols.append(list(x[: zb.ngens]))
-        ntilde_comps[deg] = (IntMatrix.from_cols(cols, rows=zb.ngens)
-                             if cols else IntMatrix.zeros(zb.ngens, 0))
+        ntilde_comps[deg] = IntMatrix.from_cols(cols, rows=zb.ngens)
     ntilde = ChainMap(b, ext.Z, ntilde_comps, validate=True)
     h = ext.gtilde @ ntilde
-    if (problem.q @ h) != problem.g or (h @ problem.i) != problem.f:
-        raise AssertionError("reconstructed lift fails a square identity")
+    for got, expected in ((problem.q @ h, problem.g), (h @ problem.i, problem.f)):
+        certify.equal_maps(got, expected, "lift_from_splitting",
+                           "reconstructed lift fails a square identity")
     return h
 
 
@@ -372,8 +325,8 @@ def splitting_from_lift(ext: Extension, h: ChainMap) -> ChainMap:
     for n in ext.C.degrees():
         n_comps[n] = (ext.ptilde @ sigma).component(n).matrix
     n_map = ChainMap(ext.C, ext.T, n_comps, validate=True)
-    if (ext.r @ n_map) != identity_chain_map(ext.C):
-        raise AssertionError("induced map does not split the extension")
+    certify.equal_maps(ext.r @ n_map, identity_chain_map(ext.C), "splitting_from_lift",
+                       "induced map does not split the extension")
     return n_map
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import certify
 from .errors import NotFree
 from .abelian import FreeBasedGroup, GroupHom, is_free, mk_hom
 from .complexes import (
@@ -24,6 +25,7 @@ from .complexes import (
     cokernel_complex,
     induced_map,
     kernel_complex,
+    memoized_on_map,
 )
 from .intlinalg import (
     IntMatrix,
@@ -91,18 +93,17 @@ class MapClassification:
         }
 
 
+@memoized_on_map
 def classify(f: ChainMap) -> MapClassification:
-    """All six booleans, each computed exactly from normal forms."""
+    """All six booleans, each computed exactly from normal forms; once per map."""
     kc, _ = kernel_complex(f)
     cc, _ = cokernel_complex(f)
-    injective = all(kc.group(n).is_trivial() for n in kc.degrees())
-    surjective = all(cc.group(n).is_trivial() for n in cc.degrees())
     coker_free = all(is_free(cc.group(n)) for n in cc.degrees())
     pad_degrees = sorted(set(f.src.window(1)) | set(f.dst.window(1)))
     quasi_iso = all(induced_map(f, n).is_iso() for n in pad_degrees)
     return MapClassification(
-        injective=injective,
-        surjective=surjective,
+        injective=kc.is_zero(),
+        surjective=cc.is_zero(),
         coker_degreewise_free=coker_free,
         quasi_iso=quasi_iso,
         kernel_acyclic=kc.is_acyclic(),
@@ -204,16 +205,14 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
         sd = split.degrees[n]
         if sd.y_cols.cols == 0:
             continue
-        prev = split.degrees.get(n - 1)
-        if prev is None:
-            raise AssertionError("nonzero image below the support window")
+        prev = certify.found(split.degrees.get(n - 1), "split_free_complex", n,
+                             "nonzero image below the support window")
         # d'(y_i) expressed in the Z basis one degree down
         cols = []
         for j in range(sd.y_cols.cols):
             img = dfree[n].mul_vec(sd.y_cols.col(j))
-            x = solve(prev.z_cols, img)
-            assert x is not None, "image of d must consist of cycles"
-            cols.append(list(x))
+            cols.append(list(certify.found(solve(prev.z_cols, img), "split_free_complex", n,
+                                           "image of d must consist of cycles")))
         m = IntMatrix.from_cols(cols, rows=prev.z_cols.cols)
         split.dprime[n] = mk_hom(split.y_group(n).group, split.z_group(n - 1).group, m)
     return split
@@ -270,14 +269,5 @@ def is_contractible(a: ChainComplex, split: FreeSplitting | None = None):
         else:
             comps[n] = split.degrees[n + 1].y_amb @ inv @ sd.z_coords
     s = Contraction(a, comps)
-    _check_contraction(a, s)
+    certify.contraction(a, s)
     return s
-
-
-def _check_contraction(a, s):
-    for n in a.degrees():
-        g = a.group(n)
-        m = a.diff(n + 1).matrix @ s.component(n) + s.component(n - 1) @ a.diff(n).matrix
-        delta = m - IntMatrix.identity(g.ngens)
-        assert all(g.contains_zero(delta.col(j)) for j in range(g.ngens)), \
-            "assembled homotopy is not a contraction"

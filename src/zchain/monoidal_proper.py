@@ -5,13 +5,15 @@ pullbacks are degreewise kernels of the difference map into the cospan
 corner.  Both carry universal-factorization operations.  The pushout
 product of two cofibrations is certified by exhibiting its cokernel as the
 tensor of the two cokernels; properness is certified by classifying the
-opposite map of the square directly.
+opposite map of the square directly.  The certificates run through
+``zchain.certify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import certify
 from .errors import NotCofibration, PreconditionFailed
 from .abelian import factor_through, mk_hom
 from .complexes import (
@@ -19,12 +21,13 @@ from .complexes import (
     ChainMap,
     cokernel_complex,
     dsum_complex,
+    identity_chain_map,
     induced_map,
     kernel_complex,
     tensor,
     tensor_map,
 )
-from .intlinalg import hstack
+from .intlinalg import hstack, vstack
 from .modelcls import MapClassification, classify
 
 
@@ -88,16 +91,10 @@ class PullbackData:
             pair = mk_hom(
                 u.src.group(n),
                 self.incl.dst.group(n),
-                _stack_cols(u.component(n).matrix, v.component(n).matrix),
+                vstack([u.component(n).matrix, v.component(n).matrix]),
             )
             comps[n] = factor_through(self.incl.component(n), pair)
         return ChainMap(u.src, self.complex, comps, validate=True)
-
-
-def _stack_cols(m1, m2):
-    from .intlinalg import vstack
-
-    return vstack([m1, m2])
 
 
 def pullback(first: ChainMap, second: ChainMap) -> PullbackData:
@@ -139,11 +136,11 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
     cls_j = classify(j)
     if not cls_i.cofibration or not cls_j.cofibration:
         raise NotCofibration("both inputs must be cofibrations")
-    i_tensor_c = tensor_map(i, identity_of(j.src))
-    a_tensor_j = tensor_map(identity_of(i.src), j)
+    i_tensor_c = tensor_map(i, identity_chain_map(j.src))
+    a_tensor_j = tensor_map(identity_chain_map(i.src), j)
     po = pushout(i_tensor_c, a_tensor_j)
-    b_tensor_j = tensor_map(identity_of(i.dst), j)
-    i_tensor_d = tensor_map(i, identity_of(j.dst))
+    b_tensor_j = tensor_map(identity_chain_map(i.dst), j)
+    i_tensor_d = tensor_map(i, identity_chain_map(j.dst))
     k = po.induce(b_tensor_j, i_tensor_d)
     u, pu = cokernel_complex(i)
     v, pv = cokernel_complex(j)
@@ -155,20 +152,13 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
         m_comps[n] = mk_hom(ck.group(n), uv.group(n), pq.component(n).matrix)
     m = ChainMap(ck, uv, m_comps, validate=True)
     cls_k = classify(k)
-    if not cls_k.cofibration:
-        raise AssertionError("pushout product failed its cofibration certificate")
-    for n in set(ck.degrees()) | set(uv.degrees()):
-        if not m.component(n).is_iso():
-            raise AssertionError("cokernel comparison is not an isomorphism")
-    if (cls_i.acyclic_cofibration or cls_j.acyclic_cofibration) and not cls_k.acyclic_cofibration:
-        raise AssertionError("acyclicity certificate failed")
+    certify.classified(cls_k, "cofibration", "pushout_product", "pushout product")
+    for n in sorted(set(ck.degrees()) | set(uv.degrees())):
+        certify.check(m.component(n).is_iso(), "pushout_product",
+                      "cokernel comparison is not an isomorphism", n)
+    if cls_i.acyclic_cofibration or cls_j.acyclic_cofibration:
+        certify.classified(cls_k, "acyclic_cofibration", "pushout_product", "pushout product")
     return PushoutProductCert(po, k, u, v, m, ck, cls_k)
-
-
-def identity_of(c):
-    from .complexes import identity_chain_map
-
-    return identity_chain_map(c)
 
 
 @dataclass
@@ -185,6 +175,14 @@ class ProperReport:
     @property
     def certified(self):
         return self.classification.quasi_iso
+
+
+def _homology_ladder(h, key):
+    """Per degree: whether H_n(h) is an isomorphism (under key), and both sides' factors."""
+    return [{"degree": n, key: induced_map(h, n).is_iso(),
+             "source_factors": list(h.src.homology(n).group.invariant_factors),
+             "target_factors": list(h.dst.homology(n).group.invariant_factors)}
+            for n in sorted(set(h.src.window(1)) | set(h.dst.window(1)))]
 
 
 def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:
@@ -209,17 +207,9 @@ def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:
             h_comps[n] = mk_hom(coker_i.group(n), coker_j.group(n),
                                 (po.from_first.component(n)).matrix)
         h = ChainMap(coker_i, coker_j, h_comps, validate=True)
-        ladder = []
-        for n in sorted(set(coker_i.window(1)) | set(coker_j.window(1))):
-            hn = induced_map(h, n)
-            ladder.append({
-                "degree": n,
-                "cokernel_map_iso": hn.is_iso(),
-                "source_factors": list(coker_i.homology(n).group.invariant_factors),
-                "target_factors": list(coker_j.homology(n).group.invariant_factors),
-            })
-        if not all(row["cokernel_map_iso"] for row in ladder):
-            raise AssertionError("cokernel comparison of the pushout is not an isomorphism")
+        ladder = _homology_ladder(h, "cokernel_map_iso")
+        certify.ladder(ladder, "cokernel_map_iso", "check_proper",
+                       "cokernel comparison of the pushout is not an isomorphism")
         return ProperReport("pushout", opposite, classify(opposite), ladder)
     if kind == "pullback":
         cls_q = classify(one)
@@ -231,25 +221,15 @@ def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:
         pb = pullback(one, other)
         opposite = pb.to_first        # P -> L, covering the weak equivalence
         pulled_fib = pb.to_second     # P -> B, the pulled-back fibration
-        ker_q, _ = kernel_complex(one)
+        ker_q, ker_q_incl = kernel_complex(one)
         ker_new, ker_incl = kernel_complex(pulled_fib)
         # the kernel of the pulled-back fibration maps isomorphically onto ker q
-        comp_comps = {}
-        for n in ker_new.degrees():
-            to_l = (pb.to_first @ ker_incl).component(n)
-            comp_comps[n] = factor_through(
-                kernel_complex(one)[1].component(n), to_l)
+        to_l = pb.to_first @ ker_incl
+        comp_comps = {n: factor_through(ker_q_incl.component(n), to_l.component(n))
+                      for n in ker_new.degrees()}
         comp = ChainMap(ker_new, ker_q, comp_comps, validate=True)
-        ladder = []
-        for n in sorted(set(ker_q.window(1)) | set(ker_new.window(1))):
-            cn = induced_map(comp, n)
-            ladder.append({
-                "degree": n,
-                "kernel_map_iso": cn.is_iso(),
-                "source_factors": list(ker_new.homology(n).group.invariant_factors),
-                "target_factors": list(ker_q.homology(n).group.invariant_factors),
-            })
-        if not all(row["kernel_map_iso"] for row in ladder):
-            raise AssertionError("kernel comparison of the pullback is not an isomorphism")
+        ladder = _homology_ladder(comp, "kernel_map_iso")
+        certify.ladder(ladder, "kernel_map_iso", "check_proper",
+                       "kernel comparison of the pullback is not an isomorphism")
         return ProperReport("pullback", opposite, classify(opposite), ladder)
     raise ValueError(f"unknown square kind: {kind}")

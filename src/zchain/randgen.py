@@ -92,8 +92,7 @@ def random_hom(rng, src, dst):
     for i in range(src.ngens):
         d = res.D.data[i][i] if i < n else 0
         cols.append(list(_element_of_order(rng, dst, d)))
-    images = (IntMatrix.from_cols(cols, rows=dst.ngens)
-              if cols else IntMatrix.zeros(dst.ngens, 0))
+    images = IntMatrix.from_cols(cols, rows=dst.ngens)
     return mk_hom(src, dst, images @ res.U)
 
 
@@ -352,11 +351,6 @@ def random_acyclic_fibration(rng, max_order=6):
     random map."""
     f = random_finite_chain_map(rng, max_order=max_order, max_pieces=2)
     return factor_cof_afb(f).right
-
-
-def random_fibration(rng, max_order=6):
-    f = random_finite_chain_map(rng, max_order=max_order, max_pieces=2)
-    return factor_acf_fib(f).right
 
 
 def random_surjective_non_weq(rng, max_order=6):

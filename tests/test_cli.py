@@ -13,6 +13,7 @@ from zchain.documents import (
 )
 from zchain.errors import DocumentError
 from zchain.factor import gamma
+from zchain.modelcls import MapClassification
 from zchain.randgen import random_finite_chain_map, random_finite_complex, rng_for
 
 from helpers import Zmod, sphere
@@ -124,6 +125,32 @@ def test_factorize_command(capsys, tmp_path):
         payload = json.loads(out)
         assert left_label in payload["left_classification"]["labels"]
         assert right_label in payload["right_classification"]["labels"]
+
+
+def test_certificate_failure_exit_1(capsys, tmp_path, monkeypatch):
+    doc = {"schema_version": "1", "source": s2_doc(), "target": s2_doc(),
+           "components": {"0": [["1"]]}}
+    map_path = write(tmp_path, "id2.json", doc)
+    complex_path = write(tmp_path, "s2.json", s2_doc())
+    cases = [
+        # every classification comes back empty: the factor pieces fail
+        ("zchain.factor.classify", lambda f: MapClassification(*[False] * 6),
+         ["factorize", map_path, "--mode", "acf-fib"], "factor_acf_fib", None),
+        # cycle coordinates that must exist come back missing
+        ("zchain.complexes.solve", lambda *args: None,
+         ["homology", complex_path], "homology", 0),
+    ]
+    for target, fake, argv, construction, degree in cases:
+        with monkeypatch.context() as m:
+            m.setattr(target, fake)
+            code, out = run_cli(capsys, argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert set(error) == {"type", "message", "construction", "degree", "witness"}
+        assert error["type"] == "CertificateFailed"
+        assert error["construction"] == construction
+        assert error["degree"] == degree
+    assert error["witness"] is None
 
 
 def test_factorize_infinite_groups_exit_2(capsys, tmp_path):

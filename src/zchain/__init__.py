@@ -31,7 +31,6 @@ from .intlinalg import IntMatrix, SnfResult, hnf, kernel_basis, snf, solve
 from .abelian import (
     DirectSum,
     FgAbGroup,
-    FreeBasedGroup,
     GroupHom,
     cokernel,
     ext1,
@@ -52,6 +51,7 @@ from .complexes import (
     ChainMap,
     HomologyClassData,
     cone,
+    disk,
     dsum_complex,
     homology,
     identity_chain_map,
@@ -59,10 +59,10 @@ from .complexes import (
     is_quasi_iso,
     mk_chain_map,
     mk_complex,
+    sphere,
     suspend,
     tensor,
     tensor_map,
-    test_object,
     zero_chain_map,
     zero_complex,
 )

@@ -10,7 +10,6 @@ construction to carry every source relation into the target lattice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import certify
@@ -222,8 +221,7 @@ def mk_hom(src, dst, matrix):
 
 def preimage_lattice(matrix, target_rel_rows):
     """Canonical column basis of {v : matrix @ v lies in the given lattice}."""
-    rel_cols = [list(r) for r in target_rel_rows]
-    aug = hstack([matrix, IntMatrix.from_cols(rel_cols, rows=matrix.rows)]) if rel_cols else matrix
+    aug = hstack([matrix, IntMatrix.from_cols(target_rel_rows, rows=matrix.rows)])
     K = kernel_basis(aug)
     vecs = [K.col(j)[: matrix.cols] for j in range(K.cols)]
     rows = row_lattice(vecs, matrix.cols)
@@ -348,7 +346,7 @@ def preimage(h, target):
     target = tuple(target)
     if len(target) != h.dst.ngens:
         raise DimensionMismatch("target length mismatch")
-    aug = hstack([h.matrix, h.dst.relations]) if h.dst.relations.cols else h.matrix
+    aug = hstack([h.matrix, h.dst.relations])
     x = solve(aug, target)
     if x is None:
         return None
@@ -380,20 +378,3 @@ def lift_free_hom(q, g):
     P = IntMatrix.from_cols(cols, rows=q.src.ngens)
     return GroupHom(g.src, q.src, P @ C, _checked=True)
 
-
-@dataclass(frozen=True)
-class FreeBasedGroup:
-    """Free abelian group with an explicit ordered basis of opaque labels."""
-
-    labels: tuple
-
-    @property
-    def rank(self):
-        return len(self.labels)
-
-    @property
-    def group(self):
-        return free_group(len(self.labels))
-
-    def __repr__(self):
-        return f"FreeBasedGroup(rank {self.rank})"

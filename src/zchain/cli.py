@@ -95,7 +95,7 @@ def _cmd_snf(args, cap):
         raise DocumentError("expected {\"matrix\": [[...]]} or a bare matrix",
                             code="bad_document")
     rows = len(data)
-    cols = len(data[0]) if rows else 0
+    cols = len(data[0]) if rows and isinstance(data[0], list) else 0
     m = json_to_matrix(data, rows, cols, "matrix")
     if max(rows, cols) > cap:
         raise RankCapExceeded(f"matrix side {max(rows, cols)} exceeds the cap {cap}")
@@ -215,13 +215,18 @@ def _parse_degrees(spec):
     except ValueError:
         raise DocumentError(f"degrees must look like LO..HI, got {spec!r}",
                             code="bad_flag") from None
-    if lo > hi:
-        raise DocumentError("degree window is empty", code="bad_flag")
+    if hi - lo < 3:
+        raise DocumentError(f"degree window {spec} must span at least four degrees",
+                            code="bad_flag")
     return lo, hi
 
 
 def _cmd_verify(args, cap):
     degrees = _parse_degrees(args.degrees)
+    if args.cases < 1:
+        raise DocumentError("--cases must be at least 1", code="bad_flag")
+    if args.max_order < 2:
+        raise DocumentError("--max-order must be at least 2", code="bad_flag")
     report = run_verify(args.seed, args.cases, max_order=args.max_order, degrees=degrees)
     return report, 0 if report["status"] == "pass" else 1
 
@@ -278,9 +283,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the randomized axiom suite")
     p.add_argument("--seed", default="0")
-    p.add_argument("--cases", type=int, default=10)
-    p.add_argument("--max-order", type=int, default=6)
-    p.add_argument("--degrees", default="-2..2")
+    p.add_argument("--cases", type=int, default=10, help="cases per axiom, at least 1")
+    p.add_argument("--max-order", type=int, default=6,
+                   help="largest group order per degree, at least 2")
+    p.add_argument("--degrees", default="-2..2",
+                   help="degree window LO..HI spanning at least four degrees (HI - LO >= 3)")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

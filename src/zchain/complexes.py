@@ -229,19 +229,15 @@ def zero_chain_map(src, dst):
     return ChainMap(src, dst, {}, validate=False)
 
 
-def test_object(kind, n, m):
-    """Sphere: m concentrated in degree n.  Disk: m in degrees n+1 and n with
-    the identity differential between them."""
-    if kind == "sphere":
-        return ChainComplex({n: m}, {}, support=(n, n), validate=False)
-    if kind == "disk":
-        return ChainComplex(
-            {n: m, n + 1: m},
-            {n + 1: identity_hom(m)},
-            support=(n, n + 1),
-            validate=False,
-        )
-    raise ValueError(f"unknown test object kind: {kind}")
+def sphere(n, m):
+    """The group m concentrated in degree n."""
+    return ChainComplex({n: m}, {}, support=(n, n), validate=False)
+
+
+def disk(n, m):
+    """The group m in degrees n+1 and n with the identity differential between them."""
+    return ChainComplex({n: m, n + 1: m}, {n + 1: identity_hom(m)}, support=(n, n + 1),
+                        validate=False)
 
 
 def suspend(a, k):
@@ -492,30 +488,26 @@ def tensor_map(f, g):
 
 def map_to_disk(a, n, u):
     """Chain map a -> disk(n, m) from a hom u: a_n -> m."""
-    m = u.dst
-    disk = test_object("disk", n, m)
     comps = {n: u, n + 1: u @ a.diff(n + 1)}
-    return ChainMap(a, disk, comps, validate=True)
+    return ChainMap(a, disk(n, u.dst), comps, validate=True)
 
 
 def map_from_disk(a, n, v):
     """Chain map disk(n, m) -> a from a hom v: m -> a_{n+1}."""
-    disk = test_object("disk", n, v.src)
     comps = {n + 1: v, n: a.diff(n + 1) @ v}
-    return ChainMap(disk, a, comps, validate=True)
+    return ChainMap(disk(n, v.src), a, comps, validate=True)
 
 
 def map_to_sphere(a, n, u):
     """Chain map a -> sphere(n, m) from a hom u on a_n vanishing on boundaries."""
-    sphere = test_object("sphere", n, u.dst)
-    return ChainMap(a, sphere, {n: u}, validate=True)
+    return ChainMap(a, sphere(n, u.dst), {n: u}, validate=True)
 
 
 def map_from_sphere(a, n, v_into_cycles, cycles_incl):
     """Chain map sphere(n, m) -> a from a hom m -> cycles composed with the
     inclusion of the cycle subgroup."""
-    sphere = test_object("sphere", n, v_into_cycles.src)
-    return ChainMap(sphere, a, {n: cycles_incl @ v_into_cycles}, validate=True)
+    return ChainMap(sphere(n, v_into_cycles.src), a, {n: cycles_incl @ v_into_cycles},
+                    validate=True)
 
 
 def cycles_subgroup(a, n):

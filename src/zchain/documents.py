@@ -1,12 +1,16 @@
 """JSON interchange for complexes and chain maps.
 
 Matrices travel as row-major arrays of decimal strings so that arbitrary
-precision survives any consumer; integers are accepted on input.  Degree
-keys are decimal strings.  Parse failures raise DocumentError with the enough
-structure (degree, code) for a machine-readable report.
+precision survives any consumer.  On input an entry may also be a JSON
+integer, but not a float, a boolean or any other string; this module is the
+one place where untyped values become matrix entries.  Degree keys are
+decimal strings.  Parse failures raise DocumentError with enough structure
+(degree, code) for a machine-readable report.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import (
     DocumentError,
@@ -21,9 +25,20 @@ from .intlinalg import IntMatrix
 
 SCHEMA_VERSION = "1"
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
 
 def matrix_to_json(m):
     return [[str(x) for x in row] for row in m.data]
+
+
+def _entry(x):
+    """A JSON int, or a string of decimal digits with an optional sign."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
+        return int(x)
+    raise ValueError(f"not an integer: {x!r}")
 
 
 def json_to_matrix(data, rows, cols, where):
@@ -38,8 +53,8 @@ def json_to_matrix(data, rows, cols, where):
             raise DocumentError(
                 f"{where}: expected rows of length {cols}", code="bad_matrix")
         try:
-            out.append([int(x) for x in r])
-        except (TypeError, ValueError):
+            out.append([_entry(x) for x in r])
+        except ValueError:
             raise DocumentError(
                 f"{where}: entries must be integers or decimal strings",
                 code="bad_matrix") from None
@@ -86,7 +101,7 @@ def doc_to_complex(doc, max_rank=None):
                                 code="support_mismatch")
         return mk_complex(None, {}, {})
     if (not isinstance(support, list) or len(support) != 2
-            or not all(isinstance(x, int) for x in support)):
+            or not all(type(x) is int for x in support)):
         raise DocumentError("support must be [lo, hi]", code="bad_support")
     lo, hi = support
     if lo > hi:
@@ -100,7 +115,7 @@ def doc_to_complex(doc, max_rank=None):
             raise DocumentError(f"group at degree {n} lies outside the support",
                                 code="support_mismatch", degree=n)
         ngens = gd.get("generators")
-        if not isinstance(ngens, int) or ngens < 0:
+        if type(ngens) is not int or ngens < 0:
             raise DocumentError(f"degree {n}: generators must be a nonnegative integer",
                                 code="bad_group", degree=n)
         if max_rank is not None and ngens > max_rank:
@@ -144,21 +159,11 @@ def map_to_doc(f: ChainMap):
     return doc
 
 
-def doc_to_map(doc, max_rank=None, resolve=None):
+def doc_to_map(doc, max_rank=None):
     if not isinstance(doc, dict):
         raise DocumentError("map document must be an object", code="bad_document")
-
-    def side(key):
-        sub = doc.get(key)
-        if isinstance(sub, str):
-            if resolve is None:
-                raise DocumentError(f"{key}: file references are not available here",
-                                    code="bad_reference")
-            sub = resolve(sub)
-        return doc_to_complex(sub, max_rank=max_rank)
-
-    src = side("source")
-    dst = side("target")
+    src = doc_to_complex(doc.get("source"), max_rank=max_rank)
+    dst = doc_to_complex(doc.get("target"), max_rank=max_rank)
     comps = {}
     for key, md in doc.get("components", {}).items():
         n = _parse_degree(key, "components")

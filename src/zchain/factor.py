@@ -112,8 +112,8 @@ def factor_acf_fib(f: ChainMap, max_rank=None) -> Factorization:
     for n in range(lo, hi + 1):
         parts = [
             ("A", n, a.group(n)),
-            ("I(B)", n, ib.i(n).free.group),
-            ("I(B)", n + 1, ib.i(n + 1).free.group),
+            ("I(B)", n, ib.i(n).free),
+            ("I(B)", n + 1, ib.i(n + 1).free),
         ]
         ds = DirectSum([g for (_, _, g) in parts])
         layouts[n] = ds
@@ -181,10 +181,10 @@ def factor_cof_afb(f: ChainMap, max_rank=None) -> Factorization:
     for n in range(lo, hi + 1):
         parts = [
             ("A", n, a.group(n)),
-            ("I(A)", n - 1, ia.i(n - 1).free.group),
-            ("I2(A)", n - 2, ia.i2(n - 2).free.group),
-            ("I(B)", n, ib.i(n).free.group),
-            ("I2(B)", n - 1, ib.i2(n - 1).free.group),
+            ("I(A)", n - 1, ia.i(n - 1).free),
+            ("I2(A)", n - 2, ia.i2(n - 2).free),
+            ("I(B)", n, ib.i(n).free),
+            ("I2(B)", n - 1, ib.i2(n - 1).free),
         ]
         ds = DirectSum([g for (_, _, g) in parts])
         layouts[n] = ds
@@ -243,7 +243,7 @@ def gamma(b: ChainComplex, max_rank=None):
     layouts = {}
     groups = {}
     for n in range(lo, hi + 1):
-        ds = DirectSum([ib.i(n).free.group, ib.i2(n - 1).free.group])
+        ds = DirectSum([ib.i(n).free, ib.i2(n - 1).free])
         layouts[n] = ds
         groups[n] = ds.group
     diffs = {}

@@ -21,7 +21,6 @@ from . import certify
 from .errors import InfiniteGroup, RankCapExceeded
 from .abelian import (
     FgAbGroup,
-    FreeBasedGroup,
     GroupHom,
     free_group,
     mk_hom,
@@ -32,17 +31,12 @@ from .abelian import (
 from .intlinalg import IntMatrix, solve
 
 
-def _label(coords):
-    return "[" + ",".join(map(str, coords)) + "]"
-
-
 @dataclass
 class AugmentationData:
     """Z[A] with its augmentation and evaluation maps."""
 
     base: FgAbGroup
-    za_basis: FreeBasedGroup          # one label per element of A, zero first
-    elements: tuple                   # canonical coordinates, lex order
+    elements: tuple                   # canonical coordinates, lex order, zero first
     epsilon: GroupHom                 # Z[A] -> Z, every basis element to 1
     theta: GroupHom                   # Z[A] -> A, [a] -> a
 
@@ -52,7 +46,7 @@ class IGroup:
     """The augmentation ideal I(A), free on [a]-[0] for nonzero a."""
 
     base: FgAbGroup
-    free: FreeBasedGroup
+    free: FgAbGroup                   # free on the nonzero elements
     nonzero_elements: tuple
     index: dict                       # canonical coords -> basis position
     theta_restricted: GroupHom        # I(A) -> A
@@ -60,7 +54,7 @@ class IGroup:
 
     @property
     def rank(self):
-        return self.free.rank
+        return self.free.ngens
 
 
 @dataclass
@@ -68,12 +62,12 @@ class I2Group:
     """I^2(A) = ker(theta: I(A) -> A) with its basis inside the I basis."""
 
     base: FgAbGroup
-    free: FreeBasedGroup
+    free: FgAbGroup
     inclusion_matrix: IntMatrix       # I coordinates of each I^2 basis vector
 
     @property
     def rank(self):
-        return self.free.rank
+        return self.free.ngens
 
 
 def _require_finite(a, max_rank=None):
@@ -87,12 +81,10 @@ def _require_finite(a, max_rank=None):
 def augmentation_data(a, max_rank=None):
     _require_finite(a, max_rank)
     elements = tuple(a.elements())
-    labels = tuple(_label(e) for e in elements)
-    za = FreeBasedGroup(labels)
-    eps = mk_hom(za.group, free_group(1), IntMatrix(1, len(elements), [[1] * len(elements)]))
-    theta = mk_hom(za.group, a,
-                   IntMatrix.from_cols([list(e) for e in elements], rows=a.ngens))
-    return AugmentationData(a, za, elements, eps, theta)
+    za = free_group(len(elements))
+    eps = mk_hom(za, free_group(1), IntMatrix(1, len(elements), [[1] * len(elements)]))
+    theta = mk_hom(za, a, IntMatrix.from_cols([list(e) for e in elements], rows=a.ngens))
+    return AugmentationData(a, elements, eps, theta)
 
 
 def build_I(a, max_rank=None):
@@ -102,10 +94,8 @@ def build_I(a, max_rank=None):
     zero = elements[0]
     certify.check(zero == a.zero(), "build_I", "the first element is not zero")
     nonzero = tuple(e for e in elements if e != zero)
-    labels = tuple(f"{_label(e)}-{_label(zero)}" for e in nonzero)
-    free = FreeBasedGroup(labels)
-    theta = mk_hom(free.group, a,
-                   IntMatrix.from_cols([list(e) for e in nonzero], rows=a.ngens))
+    free = free_group(len(nonzero))
+    theta = mk_hom(free, a, IntMatrix.from_cols([list(e) for e in nonzero], rows=a.ngens))
     incl_cols = []
     pos = {e: i for i, e in enumerate(elements)}
     for e in nonzero:
@@ -129,8 +119,7 @@ def build_I2(a, max_rank=None, ig=None):
     if ig is None:
         ig = build_I(a, max_rank)
     lat = preimage_lattice(ig.theta_restricted.matrix, a.rel_rows)
-    labels = tuple(f"k{j}" for j in range(lat.cols))
-    i2 = I2Group(base=a, free=FreeBasedGroup(labels), inclusion_matrix=lat)
+    i2 = I2Group(base=a, free=free_group(lat.cols), inclusion_matrix=lat)
     # the quotient I/I^2 recovers the group itself
     q = mk_group(ig.rank, lat)
     certify.check(is_isomorphic(q, a), "build_I2", "I/I^2 is not isomorphic to the base group",
@@ -152,7 +141,7 @@ def I_map(f, i_src=None, i_dst=None, max_rank=None):
             col[i_dst.index[img]] = 1
         cols.append(col)
     m = IntMatrix.from_cols(cols, rows=i_dst.rank)
-    return mk_hom(i_src.free.group, i_dst.free.group, m)
+    return mk_hom(i_src.free, i_dst.free, m)
 
 
 def I2_map(f, i2_src=None, i2_dst=None, i_src=None, i_dst=None, max_rank=None):
@@ -172,4 +161,4 @@ def I2_map(f, i2_src=None, i2_dst=None, i_src=None, i_dst=None, max_rank=None):
         cols.append(list(certify.found(solve(i2_dst.inclusion_matrix, v), "I2_map", None,
                                        "I(f) must carry I^2 into I^2")))
     m = IntMatrix.from_cols(cols, rows=i2_dst.rank)
-    return mk_hom(i2_src.free.group, i2_dst.free.group, m)
+    return mk_hom(i2_src.free, i2_dst.free, m)

@@ -29,7 +29,12 @@ def xgcd(a, b):
 
 
 class IntMatrix:
-    """Immutable integer matrix with explicit row/column counts."""
+    """Immutable integer matrix with explicit row/column counts.
+
+    Entries must be Python ints; they are stored as given, without
+    conversion.  Untyped input is checked where it enters, in
+    ``documents.json_to_matrix``.
+    """
 
     __slots__ = ("rows", "cols", "data", "_hash")
 
@@ -39,7 +44,7 @@ class IntMatrix:
         if entries is None:
             data = tuple((0,) * cols for _ in range(rows))
         else:
-            data = tuple(tuple(int(x) for x in row) for row in entries)
+            data = tuple(map(tuple, entries))
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError(f"expected {rows}x{cols} entries")
         object.__setattr__(self, "rows", rows)

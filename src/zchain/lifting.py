@@ -289,7 +289,7 @@ def lift_from_splitting(ext: Extension, n_map: ChainMap) -> ChainMap:
         target_t = n_map.component(deg).matrix @ ext.pC.component(deg).matrix
         stacked = vstack([qt, pt])
         rel = blockdiag([b.group(deg).relations, ext.T.group(deg).relations])
-        aug = hstack([stacked, rel]) if rel.cols else stacked
+        aug = hstack([stacked, rel])
         bn = b.group(deg).ngens
         cols = []
         for j in range(bn):
@@ -372,7 +372,7 @@ def rlp_instance(q: ChainMap, gen: str, n: int, a=None, bprime=None):
         raise PreconditionFailed("square does not commute: d b' differs from q a")
     stacked = vstack([src.diff(n + 1).matrix, q.component(n + 1).matrix])
     rel = blockdiag([src.group(n).relations, dst.group(n + 1).relations])
-    aug = hstack([stacked, rel]) if rel.cols else stacked
+    aug = hstack([stacked, rel])
     rhs = tuple(a) + tuple(bprime)
     x = solve(aug, rhs)
     if x is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import certify
 from .errors import NotFree
-from .abelian import FreeBasedGroup, GroupHom, is_free, mk_hom
+from .abelian import FgAbGroup, GroupHom, free_group, is_free, mk_hom
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -138,21 +138,19 @@ class FreeSplitting:
     degrees: dict = field(default_factory=dict)   # n -> SplitDegree
     dprime: dict = field(default_factory=dict)    # n -> GroupHom Y_n -> Z_{n-1}
 
-    def y_group(self, n) -> FreeBasedGroup:
+    def y_group(self, n) -> FgAbGroup:
         d = self.degrees.get(n)
-        rank = d.y_cols.cols if d else 0
-        return FreeBasedGroup(tuple(f"y{n}_{i}" for i in range(rank)))
+        return free_group(d.y_cols.cols if d else 0)
 
-    def z_group(self, n) -> FreeBasedGroup:
+    def z_group(self, n) -> FgAbGroup:
         d = self.degrees.get(n)
-        rank = d.z_cols.cols if d else 0
-        return FreeBasedGroup(tuple(f"z{n}_{i}" for i in range(rank)))
+        return free_group(d.z_cols.cols if d else 0)
 
     def dprime_hom(self, n) -> GroupHom:
         h = self.dprime.get(n)
         if h is None:
-            return mk_hom(self.y_group(n).group, self.z_group(n - 1).group,
-                          IntMatrix.zeros(self.z_group(n - 1).rank, self.y_group(n).rank))
+            y, z = self.y_group(n), self.z_group(n - 1)
+            return mk_hom(y, z, IntMatrix.zeros(z.ngens, y.ngens))
         return h
 
 
@@ -214,7 +212,7 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
             cols.append(list(certify.found(solve(prev.z_cols, img), "split_free_complex", n,
                                            "image of d must consist of cycles")))
         m = IntMatrix.from_cols(cols, rows=prev.z_cols.cols)
-        split.dprime[n] = mk_hom(split.y_group(n).group, split.z_group(n - 1).group, m)
+        split.dprime[n] = mk_hom(split.y_group(n), split.z_group(n - 1), m)
     return split
 
 

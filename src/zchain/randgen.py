@@ -15,10 +15,11 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     cycles_subgroup,
+    disk,
     dsum_complex,
     map_from_disk,
     mk_complex,
-    test_object,
+    sphere,
     zero_chain_map,
     zero_complex,
 )
@@ -139,12 +140,12 @@ def random_finite_complex(rng, max_order=8, lo=-3, hi=3, max_pieces=3, with_piec
         n = rng.randrange(lo, hi - 2)
         if kind == "sphere":
             m = budget.take(rng, n)
-            parts.append(test_object("sphere", n, m))
+            parts.append(sphere(n, m))
             descr.append(("sphere", n, m))
         elif kind == "disk":
             m = budget.take(rng, n)
             budget.left[n + 1] = max(1, budget.left.get(n + 1, max_order) // max(m.order(), 1))
-            parts.append(test_object("disk", n, m))
+            parts.append(disk(n, m))
             descr.append(("disk", n, m))
         elif kind == "two":
             m = budget.take(rng, n + 1)
@@ -183,7 +184,7 @@ def random_finite_complex(rng, max_order=8, lo=-3, hi=3, max_pieces=3, with_piec
             parts.append(mk_complex(f.support, groups, diffs))
             descr.append(("opaque", None, None))
     if not parts:
-        parts.append(test_object("sphere", lo, random_finite_group(rng, max_order)))
+        parts.append(sphere(lo, random_finite_group(rng, max_order)))
         descr.append(("sphere", lo, parts[0].group(lo)))
     total, incls, projs = dsum_complex(parts)
     ps = PieceSum(total, descr, incls, projs)
@@ -262,27 +263,27 @@ def random_finite_chain_map(rng, max_order=8, lo=-3, hi=3, max_pieces=3,
                                      // max(p.order(), 1))
         u = random_hom(rng, m, p)
         if kind == "sphere":
-            src, dst, comps = test_object("sphere", n, m), test_object("sphere", n, p), {n: u}
+            src, dst, comps = sphere(n, m), sphere(n, p), {n: u}
             src_descr.append(("sphere", n, m))
             dst_descr.append(("sphere", n, p))
         elif kind == "disk":
-            src, dst, comps = test_object("disk", n, m), test_object("disk", n, p), {n: u, n + 1: u}
+            src, dst, comps = disk(n, m), disk(n, p), {n: u, n + 1: u}
             src_descr.append(("disk", n, m))
             dst_descr.append(("disk", n, p))
         elif kind == "incl":
-            src, dst, comps = test_object("sphere", n, m), test_object("disk", n, p), {n: u}
+            src, dst, comps = sphere(n, m), disk(n, p), {n: u}
             src_descr.append(("sphere", n, m))
             dst_descr.append(("disk", n, p))
         elif kind == "proj":
-            src, dst, comps = test_object("disk", n, m), test_object("sphere", n + 1, p), {n + 1: u}
+            src, dst, comps = disk(n, m), sphere(n + 1, p), {n + 1: u}
             src_descr.append(("disk", n, m))
             dst_descr.append(("sphere", n + 1, p))
         elif kind == "zero_to":
-            src, dst, comps = zero_complex(), test_object("sphere", n, p), {}
+            src, dst, comps = zero_complex(), sphere(n, p), {}
             src_descr.append(("opaque", None, None))
             dst_descr.append(("sphere", n, p))
         else:
-            src, dst, comps = test_object("sphere", n, m), zero_complex(), {}
+            src, dst, comps = sphere(n, m), zero_complex(), {}
             src_descr.append(("sphere", n, m))
             dst_descr.append(("opaque", None, None))
         srcs.append(src)
@@ -321,7 +322,7 @@ def random_free_cofibration(rng, acyclic=False, max_rank=2):
         parts = []
         for _ in range(rng.randrange(1, 3)):
             n = rng.randrange(-3, 2)
-            parts.append(test_object("disk", n, free_group(rng.randrange(1, max_rank + 1))))
+            parts.append(disk(n, free_group(rng.randrange(1, max_rank + 1))))
         u, _, _ = dsum_complex(parts)
     else:
         u = random_free_complex(rng, max_rank=max_rank)
@@ -361,7 +362,7 @@ def random_surjective_non_weq(rng, max_order=6):
     m = random_finite_group(rng, max_order)
     while m.is_trivial():
         m = random_finite_group(rng, max_order)
-    extra = test_object("sphere", n, m)
+    extra = sphere(n, m)
     total, incls, projs = dsum_complex([base, extra])
     return projs[0], n
 

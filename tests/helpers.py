@@ -1,25 +1,13 @@
 """Small shared fixtures for the test suite."""
 
 from zchain.abelian import free_group, mk_group
-from zchain.complexes import mk_complex
+from zchain.complexes import disk, mk_complex, sphere  # noqa: F401  (re-exported for tests)
 from zchain.intlinalg import IntMatrix
 from zchain.randgen import random_hom  # noqa: F401  (re-exported for tests)
 
 
 def Zmod(n):
     return mk_group(1, IntMatrix.from_rows([[n]]))
-
-
-def sphere(n, m):
-    from zchain.complexes import test_object
-
-    return test_object("sphere", n, m)
-
-
-def disk(n, m):
-    from zchain.complexes import test_object
-
-    return test_object("disk", n, m)
 
 
 def r2_complex():

@@ -4,7 +4,6 @@ import pytest
 
 from zchain.abelian import (
     DirectSum,
-    FreeBasedGroup,
     cokernel,
     ext1,
     factor_through,
@@ -224,12 +223,6 @@ def test_lift_free_hom():
     g = mk_hom(free_group(2), Zmod(2), [[1, 0]])
     h = lift_free_hom(q, g)
     assert (q @ h) == g
-
-
-def test_free_based_group():
-    f = FreeBasedGroup(("a", "b"))
-    assert f.rank == 2
-    assert f.group == free_group(2)
 
 
 def test_isomorphism_test():

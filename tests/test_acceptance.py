@@ -9,7 +9,7 @@ import json
 
 from zchain.abelian import free_group
 from zchain.cli import main as cli_main
-from zchain.complexes import cone, induced_map, is_quasi_iso, test_object as make_test_object
+from zchain.complexes import cone, induced_map, is_quasi_iso, sphere
 from zchain.factor import factor_acf_fib, factor_cof_afb, gamma
 from zchain.intlinalg import IntMatrix, hnf, kernel_basis, snf
 from zchain.lifting import LiftProblem, rlp_instance, solve_lift
@@ -88,7 +88,7 @@ def test_criterion_2_factorization_axiom():
 
 
 def test_criterion_3_replacement_correctness():
-    g, p = gamma(make_test_object("sphere", 0, Zmod(2)))
+    g, p = gamma(sphere(0, Zmod(2)))
     assert g.diff(1).matrix == IntMatrix.from_rows([[2]])
     cases = 100
     for case in range(cases):

@@ -48,7 +48,7 @@ def test_certificates_run_under_python_O():
         "c.solve = lambda *args: None",
         "z2 = mk_group(1, IntMatrix.from_rows([[2]]))",
         "try:",
-        "    c.test_object('sphere', 0, z2).homology(0)",
+        "    c.sphere(0, z2).homology(0)",
         "except CertificateFailed as e:",
         "    print(sys.flags.optimize, e.details['construction'], e.details['degree'])",
     ])

@@ -298,3 +298,73 @@ def test_stdin_input(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == [["2", "0"], ["0", "12"]]
+
+
+def error_code(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    return code, json.loads(out)["error"]["code"]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2.7, 1], [True, 3]],
+    [[2.0]],
+    [[False]],
+    [["2.0"]],
+    [[" 1"]],
+    [["1_0"]],
+    [5],
+])
+def test_snf_rejects_non_integer_entries(capsys, tmp_path, matrix):
+    path = write(tmp_path, "m.json", matrix)
+    assert error_code(capsys, ["snf", path]) == (2, "bad_matrix")
+
+
+def test_snf_accepts_ints_and_signed_decimal_strings(capsys, tmp_path):
+    path = write(tmp_path, "m.json", {"matrix": [["+4", 0], [0, "-6"]]})
+    code, out = run_cli(capsys, ["snf", path])
+    assert code == 0
+    assert json.loads(out)["d"] == [["2", "0"], ["0", "12"]]
+
+
+def test_complex_document_rejects_floats_and_bools(capsys, tmp_path):
+    float_relation = s2_doc()
+    float_relation["groups"]["0"]["relations"] = [[2.0]]
+    bool_support = s2_doc()
+    bool_support["support"] = [False, False]
+    bool_generators = s2_doc()
+    bool_generators["groups"]["0"]["generators"] = True
+    for doc, expected in [(float_relation, "bad_matrix"), (bool_support, "bad_support"),
+                          (bool_generators, "bad_group")]:
+        path = write(tmp_path, "c.json", doc)
+        assert error_code(capsys, ["homology", path]) == (2, expected)
+
+
+def test_map_source_must_be_inline(capsys, tmp_path):
+    complex_path = write(tmp_path, "s2.json", s2_doc())
+    doc = {"schema_version": "1", "source": complex_path, "target": s2_doc(),
+           "components": {"0": [["1"]]}}
+    path = write(tmp_path, "map.json", doc)
+    assert error_code(capsys, ["classify", path]) == (2, "bad_document")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--degrees", "0..2"],
+    ["--degrees", "3..1"],
+    ["--max-order", "1"],
+    ["--max-order", "0"],
+    ["--cases", "0"],
+    ["--cases", "-1"],
+])
+def test_verify_rejects_flags_below_their_minimum(flags):
+    # a subprocess with a timeout, so that a flag that hangs fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "zchain.cli", "verify", "--seed", "1", "--cases", "1", *flags],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "bad_flag"
+
+
+def test_verify_smallest_degree_window(capsys):
+    code, out = run_cli(capsys, ["verify", "--seed", "1", "--cases", "1", "--degrees", "0..3"])
+    assert code == 0
+    assert json.loads(out)["degrees"] == [0, 3]

@@ -15,6 +15,7 @@ from zchain.complexes import (
     ChainMap,
     cone,
     cycles_subgroup,
+    disk,
     dsum_complex,
     homology,
     identity_chain_map,
@@ -27,10 +28,10 @@ from zchain.complexes import (
     map_to_sphere,
     mk_chain_map,
     mk_complex,
+    sphere,
     suspend,
     tensor,
     tensor_map,
-    test_object as make_test_object,
     zero_complex,
 )
 from zchain.errors import NotAChainMap, NotAComplex
@@ -55,20 +56,20 @@ def test_mk_complex_examples():
 
 
 def test_test_objects():
-    s = make_test_object("sphere", 0, Z)
+    s = sphere(0, Z)
     assert s.support == (0, 0) and s.group(0) == Z
 
-    d = make_test_object("disk", 0, Z)
+    d = disk(0, Z)
     assert d.support == (0, 1)
     assert d.diff(1) == identity_hom(Z)
 
-    s5 = make_test_object("sphere", 3, Zmod(5))
+    s5 = sphere(3, Zmod(5))
     assert s5.group(3).invariant_factors == (5,)
 
 
 def test_suspend():
-    s = make_test_object("sphere", 0, Z)
-    assert suspend(s, 1) == make_test_object("sphere", 1, Z)
+    s = sphere(0, Z)
+    assert suspend(s, 1) == sphere(1, Z)
     r2 = r2_complex()
     assert suspend(r2, 0) == r2
     sr2 = suspend(r2, 1)
@@ -79,14 +80,14 @@ def test_suspend():
 
 
 def test_cone_examples():
-    c, incl = cone(make_test_object("sphere", 0, Z))
-    assert c == make_test_object("disk", 0, Z)
+    c, incl = cone(sphere(0, Z))
+    assert c == disk(0, Z)
     assert incl.component(0).matrix == IntMatrix.from_rows([[1]])
 
     cz, _ = cone(zero_complex())
     assert cz.is_zero()
 
-    c2, _ = cone(make_test_object("sphere", 0, Zmod(2)))
+    c2, _ = cone(sphere(0, Zmod(2)))
     assert c2.diff(1) == identity_hom(Zmod(2))
     assert c2.is_acyclic()
 
@@ -96,7 +97,7 @@ def test_cone_always_acyclic():
     for _ in range(20):
         n = rng.randrange(-2, 2)
         m = mk_group(2, IntMatrix.from_rows([[rng.randrange(1, 5), 0], [0, rng.randrange(0, 3)]]))
-        a = make_test_object(rng.choice(["sphere", "disk"]), n, m)
+        a = rng.choice([sphere, disk])(n, m)
         c, incl = cone(a)
         assert c.is_acyclic()
 
@@ -106,10 +107,10 @@ def test_homology_examples():
     assert r2.homology(0).group.invariant_factors == (2,)
     assert r2.homology(1).group.is_trivial()
 
-    d = make_test_object("disk", 0, Z)
+    d = disk(0, Z)
     assert all(d.homology(n).group.is_trivial() for n in range(-1, 3))
 
-    s = make_test_object("sphere", 3, Zmod(5))
+    s = sphere(3, Zmod(5))
     assert s.homology(3).group.invariant_factors == (5,)
 
 
@@ -130,7 +131,7 @@ def test_induced_map_examples():
     idm = induced_map(identity_chain_map(r2), 0)
     assert idm.is_iso()
 
-    s = make_test_object("sphere", 0, Z)
+    s = sphere(0, Z)
     f = mk_chain_map(s, s, {0: IntMatrix.from_rows([[2]])})
     m = induced_map(f, 0)
     assert m.is_injective() and not m.is_surjective()
@@ -153,19 +154,19 @@ def test_composition_functorial_on_homology():
 
 def map_sphere_hom(n, m1, m2, rng):
     u = random_hom(rng, m1, m2)
-    s1 = make_test_object("sphere", n, m1)
-    s2 = make_test_object("sphere", n, m2)
+    s1 = sphere(n, m1)
+    s2 = sphere(n, m2)
     return mk_chain_map(s1, s2, {n: u})
 
 
 def test_tensor_examples():
-    assert tensor(make_test_object("sphere", 0, Zmod(2)), make_test_object("sphere", 0, Zmod(3))).is_zero()
+    assert tensor(sphere(0, Zmod(2)), sphere(0, Zmod(3))).is_zero()
 
     r2 = r2_complex()
-    unit = make_test_object("sphere", 0, Z)
+    unit = sphere(0, Z)
     assert tensor(r2, unit) == r2
 
-    t = tensor(r2, make_test_object("sphere", 0, Zmod(2)))
+    t = tensor(r2, sphere(0, Zmod(2)))
     assert t.support == (0, 1)
     assert t.diff(1).is_zero()
     assert t.homology(0).group.invariant_factors == (2,)
@@ -175,8 +176,8 @@ def test_tensor_examples():
 def test_tensor_symmetry_on_homology():
     rng = random.Random("tensor-sym")
     for _ in range(10):
-        a = make_test_object(rng.choice(["sphere", "disk"]), rng.randrange(-1, 2), Zmod(rng.choice([2, 4])))
-        b = r2_complex() if rng.random() < 0.5 else make_test_object("sphere", 0, Zmod(3))
+        a = rng.choice([sphere, disk])(rng.randrange(-1, 2), Zmod(rng.choice([2, 4])))
+        b = r2_complex() if rng.random() < 0.5 else sphere(0, Zmod(3))
         ab = tensor(a, b)
         ba = tensor(b, a)
         for n in set(ab.window(1)):
@@ -186,7 +187,7 @@ def test_tensor_symmetry_on_homology():
 def test_tensor_map_square():
     r2 = r2_complex()
     f = mk_chain_map(r2, r2, {0: IntMatrix.from_rows([[3]]), 1: IntMatrix.from_rows([[3]])})
-    g = identity_chain_map(make_test_object("sphere", 0, Zmod(2)))
+    g = identity_chain_map(sphere(0, Zmod(2)))
     tm = tensor_map(f, g)
     assert tm.src == tensor(r2, g.src)
     assert not tm.is_zero()
@@ -241,8 +242,8 @@ def test_adjunction_from_sphere():
 def test_suspension_shifts_homology():
     rng = random.Random("suspend-shift")
     for _ in range(10):
-        a = rng.choice([r2_complex(), make_test_object("disk", -1, Zmod(4)),
-                        make_test_object("sphere", 2, Zmod(6))])
+        a = rng.choice([r2_complex(), disk(-1, Zmod(4)),
+                        sphere(2, Zmod(6))])
         k = rng.randrange(-2, 3)
         sa = suspend(a, k)
         for n in a.window(1):
@@ -259,7 +260,7 @@ def test_cycles_subgroup():
 
 def test_kernel_cokernel_complexes():
     r2 = r2_complex()
-    s = make_test_object("sphere", 0, Zmod(2))
+    s = sphere(0, Zmod(2))
     p = mk_chain_map(r2, s, {0: IntMatrix.from_rows([[1]])})
     kc, incl = kernel_complex(p)
     # kernel of Z -> Z/2 in degree 0 is 2Z, with d: Z -> 2Z the inclusion image
@@ -271,7 +272,7 @@ def test_kernel_cokernel_complexes():
 
 def test_dsum_complex():
     r2 = r2_complex()
-    d = make_test_object("disk", 2, Zmod(3))
+    d = disk(2, Zmod(3))
     total, incls, projs = dsum_complex([r2, d])
     assert total.support == (0, 3)
     assert (projs[0] @ incls[0]) == identity_chain_map(r2)
@@ -291,7 +292,7 @@ def dsum_of(a, b):
 
 def test_chain_map_validation():
     r2 = r2_complex()
-    s1 = make_test_object("sphere", 1, Z)
+    s1 = sphere(1, Z)
     with pytest.raises(NotAChainMap):
         # the degree-1 generator of r2 is not a cycle, so this cannot commute
         mk_chain_map(s1, r2, {1: IntMatrix.from_rows([[1]])})

@@ -141,7 +141,7 @@ def test_double_complex_totalization():
         # composites vanish at every degree m:
         # theta o j = 0 (as a hom into A)   and   I(f) o j = j o I^2(f)
         for m in window:
-            j_hom = mk_hom(i2a[m].free.group, ia[m].free.group, i2a[m].inclusion_matrix)
+            j_hom = mk_hom(i2a[m].free, ia[m].free, i2a[m].inclusion_matrix)
             assert (ia[m].theta_restricted @ j_hom).is_zero()
             assert (imap(m) @ i2a[m].inclusion_matrix
                     - i2b[m].inclusion_matrix @ i2map(m)).is_zero()
@@ -161,10 +161,10 @@ def test_double_complex_totalization():
         for n in x.degrees():
             if n == x.support[0]:
                 continue
-            src = DirectSum([a.group(n), ia[n - 1].free.group, i2a[n - 2].free.group,
-                             ib[n].free.group, i2b[n - 1].free.group])
-            dst = DirectSum([a.group(n - 1), ia[n - 2].free.group, i2a[n - 3].free.group,
-                             ib[n - 1].free.group, i2b[n - 2].free.group])
+            src = DirectSum([a.group(n), ia[n - 1].free, i2a[n - 2].free,
+                             ib[n].free, i2b[n - 1].free])
+            dst = DirectSum([a.group(n - 1), ia[n - 2].free, i2a[n - 3].free,
+                             ib[n - 1].free, i2b[n - 2].free])
             expected = dst.block_matrix(src, {
                 (0, 0): a.diff(n).matrix,
                 (3, 3): idb(n),
@@ -233,7 +233,7 @@ def _z_subcomplex(x, b, data):
 
     i2b = data["i2b"]
     lo, hi = x.support
-    layouts = {n: DirectSum([i2b[n].free.group, i2b[n - 1].free.group])
+    layouts = {n: DirectSum([i2b[n].free, i2b[n - 1].free])
                for n in range(lo, hi + 1)}
     groups = {n: layouts[n].group for n in layouts}
 
@@ -278,8 +278,8 @@ def _y_subcomplex(x, a, b, f, data):
     ia, i2a = data["ia"], data["i2a"]
     ib, i2b = data["ib"], data["i2b"]
     lo, hi = x.support
-    layouts = {n: DirectSum([i2a[n - 1].free.group, i2a[n - 2].free.group,
-                             i2b[n].free.group, i2b[n - 1].free.group])
+    layouts = {n: DirectSum([i2a[n - 1].free, i2a[n - 2].free,
+                             i2b[n].free, i2b[n - 1].free])
                for n in range(lo, hi + 1)}
     groups = {n: layouts[n].group for n in layouts}
 
@@ -423,24 +423,24 @@ def _x_naturality_map(f, fprime, a_vert, b_vert, xf, xf2):
 
 def _assemble(src_c, dst_c, f, fprime, n, blocks, kind):
     if kind == "w":
-        src_parts = [f.src.group(n), build_I(f.dst.group(n)).free.group,
-                     build_I(f.dst.group(n + 1)).free.group]
-        dst_parts = [fprime.src.group(n), build_I(fprime.dst.group(n)).free.group,
-                     build_I(fprime.dst.group(n + 1)).free.group]
+        src_parts = [f.src.group(n), build_I(f.dst.group(n)).free,
+                     build_I(f.dst.group(n + 1)).free]
+        dst_parts = [fprime.src.group(n), build_I(fprime.dst.group(n)).free,
+                     build_I(fprime.dst.group(n + 1)).free]
     else:
         src_parts = [
             f.src.group(n),
-            build_I(f.src.group(n - 1)).free.group,
-            build_I2(f.src.group(n - 2), ig=build_I(f.src.group(n - 2))).free.group,
-            build_I(f.dst.group(n)).free.group,
-            build_I2(f.dst.group(n - 1), ig=build_I(f.dst.group(n - 1))).free.group,
+            build_I(f.src.group(n - 1)).free,
+            build_I2(f.src.group(n - 2), ig=build_I(f.src.group(n - 2))).free,
+            build_I(f.dst.group(n)).free,
+            build_I2(f.dst.group(n - 1), ig=build_I(f.dst.group(n - 1))).free,
         ]
         dst_parts = [
             fprime.src.group(n),
-            build_I(fprime.src.group(n - 1)).free.group,
-            build_I2(fprime.src.group(n - 2), ig=build_I(fprime.src.group(n - 2))).free.group,
-            build_I(fprime.dst.group(n)).free.group,
-            build_I2(fprime.dst.group(n - 1), ig=build_I(fprime.dst.group(n - 1))).free.group,
+            build_I(fprime.src.group(n - 1)).free,
+            build_I2(fprime.src.group(n - 2), ig=build_I(fprime.src.group(n - 2))).free,
+            build_I(fprime.dst.group(n)).free,
+            build_I2(fprime.dst.group(n - 1), ig=build_I(fprime.dst.group(n - 1))).free,
         ]
     src_ds = DirectSum(src_parts)
     dst_ds = DirectSum(dst_parts)

@@ -13,7 +13,7 @@ from helpers import Zmod, random_hom
 def test_build_I_examples():
     i = build_I(Zmod(2))
     assert i.rank == 1
-    assert i.free.labels == ("[1]-[0]",)
+    assert i.nonzero_elements == ((1,),)
     assert i.theta_restricted.matrix == IntMatrix.from_rows([[1]])
 
     assert build_I(mk_group(0, IntMatrix.zeros(0, 0))).rank == 0

@@ -9,7 +9,6 @@ from zchain.complexes import (
     identity_chain_map,
     mk_chain_map,
     mk_complex,
-    test_object as make_test_object,
     zero_chain_map,
     zero_complex,
 )

@@ -53,7 +53,6 @@ from .complexes import (
     cone,
     disk,
     dsum_complex,
-    homology,
     identity_chain_map,
     induced_map,
     is_quasi_iso,

@@ -74,6 +74,10 @@ class FgAbGroup:
             raise DimensionMismatch("element length mismatch")
         return reduce_mod_rows(v, self.rel_rows)
 
+    def canon_cols(self, m):
+        """m with every column replaced by its canonical coordinates."""
+        return IntMatrix.from_cols([self.canon(v) for v in m.columns()], rows=self.ngens)
+
     def contains_zero(self, v):
         return lattice_contains(v, self.rel_rows)
 
@@ -231,11 +235,9 @@ def preimage_lattice(matrix, target_rel_rows):
 def kernel(h):
     """Kernel subgroup with its inclusion hom."""
     P = preimage_lattice(h.matrix, h.dst.rel_rows)
-    rels = []
-    for j in range(h.src.relations.cols):
-        rels.append(list(certify.found(solve(P, h.src.relations.col(j)), "kernel", None,
-                                       "source relations must lie in the kernel lattice")))
-    K = mk_group(P.cols, IntMatrix.from_cols(rels, rows=P.cols))
+    rels = certify.found(solve(P, h.src.relations), "kernel", None,
+                         "source relations must lie in the kernel lattice")
+    K = mk_group(P.cols, rels)
     incl = GroupHom(K, h.src, P, _checked=True)
     return K, incl
 
@@ -333,48 +335,38 @@ def tensor_group(g, h):
     return mk_group(gg * hh, IntMatrix.from_cols(cols, rows=gg * hh))
 
 
-def tensor_hom(u, v, src=None, dst=None):
-    if src is None:
-        src = tensor_group(u.src, v.src)
-    if dst is None:
-        dst = tensor_group(u.dst, v.dst)
-    return GroupHom(src, dst, kron(u.matrix, v.matrix), _checked=True)
+def tensor_hom(u, v):
+    return GroupHom(tensor_group(u.src, v.src), tensor_group(u.dst, v.dst),
+                    kron(u.matrix, v.matrix), _checked=True)
 
 
-def preimage(h, target):
-    """Deterministic v with h(v) == target in the target group, or None."""
-    target = tuple(target)
-    if len(target) != h.dst.ngens:
-        raise DimensionMismatch("target length mismatch")
-    aug = hstack([h.matrix, h.dst.relations])
-    x = solve(aug, target)
+def preimage(h, targets):
+    """Deterministic V with h.matrix @ V equal to targets in h.dst, or None.
+
+    Column j of V is the canonical preimage of column j of targets (a single
+    element is a one-column matrix); None when some column has no preimage.
+    """
+    if targets.rows != h.dst.ngens:
+        raise DimensionMismatch("target row mismatch")
+    x = solve(hstack([h.matrix, h.dst.relations]), targets)
     if x is None:
         return None
-    return tuple(x[: h.src.ngens])
+    return x.take_rows(range(h.src.ngens))
 
 
 def factor_through(incl, h):
     """t with incl o t == h, where the image of h lies in the image of incl."""
-    cols = []
-    for j in range(h.src.ngens):
-        x = preimage(incl, h.matrix.col(j))
-        if x is None:
-            raise IllDefined("map does not factor through the inclusion")
-        cols.append(list(x))
-    m = IntMatrix.from_cols(cols, rows=incl.src.ngens)
+    m = preimage(incl, h.matrix)
+    if m is None:
+        raise IllDefined("map does not factor through the inclusion")
     return GroupHom(h.src, incl.src, m)
 
 
 def lift_free_hom(q, g):
     """h with q o h == g for a free source, via basis-wise deterministic preimages."""
     B, C = g.src.free_basis()
-    cols = []
-    for j in range(B.cols):
-        target = g(B.col(j))
-        x = preimage(q, target)
-        if x is None:
-            raise IllDefined("map does not lift through the surjection")
-        cols.append(list(x))
-    P = IntMatrix.from_cols(cols, rows=q.src.ngens)
+    P = preimage(q, g.dst.canon_cols(g.matrix @ B))
+    if P is None:
+        raise IllDefined("map does not lift through the surjection")
     return GroupHom(g.src, q.src, P @ C, _checked=True)
 

@@ -49,7 +49,9 @@ def _read_json(path):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError, undecodable UTF-8 and integer
+        # literals past Python's digit limit; RecursionError, deep nesting
         raise DocumentError(f"{path}: invalid JSON: {e}", code="bad_json") from e
     except OSError as e:
         raise DocumentError(f"{path}: {e}", code="io_error") from e

@@ -297,10 +297,10 @@ class HomologyClassData:
 
     def class_of(self, cycle):
         """Coordinates of the class of a cycle vector."""
-        x = solve(self.cycle_lift, tuple(cycle))
+        x = solve(self.cycle_lift, IntMatrix.from_cols([cycle]))
         if x is None:
             raise ValueError("vector is not a cycle")
-        return self.group.canon(x)
+        return self.group.canon(x.col(0))
 
 
 def _homology_at(a, n):
@@ -310,36 +310,29 @@ def _homology_at(a, n):
     d_n = a.diff(n)
     d_up = a.diff(n + 1)
     cycles = preimage_lattice(d_n.matrix, a.group(n - 1).rel_rows)
-    rels = []
-    for j in range(d_up.matrix.cols):
-        rels.append(list(certify.found(solve(cycles, d_up.matrix.col(j)), "homology", n,
-                                       "boundaries must be cycles")))
-    for j in range(gn.relations.cols):
-        rels.append(list(certify.found(solve(cycles, gn.relations.col(j)), "homology", n,
-                                       "relations must lie in the cycle lattice")))
-    h = mk_group(cycles.cols, IntMatrix.from_cols(rels, rows=cycles.cols))
+    boundaries = certify.found(solve(cycles, d_up.matrix), "homology", n,
+                               "boundaries must be cycles")
+    relations = certify.found(solve(cycles, gn.relations), "homology", n,
+                              "relations must lie in the cycle lattice")
+    h = mk_group(cycles.cols, hstack([boundaries, relations]))
     return HomologyClassData(n, h, cycles, gn)
-
-
-def homology(a, n):
-    return a.homology(n)
 
 
 def induced_map(f, n):
     """H_n(f), computed through cycle lifts; independent of the lift choices."""
     hs = f.src.homology(n)
     hd = f.dst.homology(n)
-    cols = []
-    comp = f.component(n)
-    for j in range(hs.group.ngens):
-        img = comp.matrix.mul_vec(hs.cycle_lift.col(j))
-        cols.append(list(hd.class_of(img)))
-    m = IntMatrix.from_cols(cols, rows=hd.group.ngens)
-    return mk_hom(hs.group, hd.group, m)
+    if not hs.group.ngens:  # no classes to carry, so no system to solve
+        return zero_hom(hs.group, hd.group)
+    x = solve(hd.cycle_lift, f.component(n).matrix @ hs.cycle_lift)
+    if x is None:
+        raise ValueError("vector is not a cycle")
+    return mk_hom(hs.group, hd.group, hd.group.canon_cols(x))
 
 
-def is_quasi_iso(f, pad=1):
-    degrees = set(f.src.window(pad)) | set(f.dst.window(pad))
+def is_quasi_iso(f):
+    """H_n(f) is an isomorphism in every degree, one past either support."""
+    degrees = sorted(set(f.src.window(1)) | set(f.dst.window(1)))
     return all(induced_map(f, n).is_iso() for n in degrees)
 
 

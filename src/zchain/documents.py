@@ -82,19 +82,24 @@ def complex_to_doc(c: ChainComplex):
 
 
 def _parse_degree(key, where):
-    try:
-        return int(key)
-    except ValueError:
+    if not _DECIMAL.fullmatch(key):
         raise DocumentError(f"{where}: degree keys must be integers, got {key!r}",
-                            code="bad_degree") from None
+                            code="bad_degree")
+    return int(key)
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise DocumentError(f"{what} must be an object", code="bad_document")
+    return value
 
 
 def doc_to_complex(doc, max_rank=None):
     if not isinstance(doc, dict):
         raise DocumentError("complex document must be an object", code="bad_document")
     support = doc.get("support")
-    groups_doc = doc.get("groups", {})
-    diffs_doc = doc.get("differentials", {})
+    groups_doc = _object(doc.get("groups", {}), "groups")
+    diffs_doc = _object(doc.get("differentials", {}), "differentials")
     if support is None:
         if groups_doc:
             raise DocumentError("groups given without a support window",
@@ -114,6 +119,9 @@ def doc_to_complex(doc, max_rank=None):
         if not (lo <= n <= hi):
             raise DocumentError(f"group at degree {n} lies outside the support",
                                 code="support_mismatch", degree=n)
+        if not isinstance(gd, dict):
+            raise DocumentError(f"degree {n}: a group must be an object",
+                                code="bad_group", degree=n)
         ngens = gd.get("generators")
         if type(ngens) is not int or ngens < 0:
             raise DocumentError(f"degree {n}: generators must be a nonnegative integer",
@@ -121,10 +129,11 @@ def doc_to_complex(doc, max_rank=None):
         if max_rank is not None and ngens > max_rank:
             raise RankCapExceeded(f"degree {n}: {ngens} generators exceed the cap {max_rank}")
         rel_data = gd.get("relations", [])
-        rel_rows = len(rel_data)
-        if rel_rows not in (0, ngens):
+        if (not isinstance(rel_data, list) or len(rel_data) not in (0, ngens)
+                or rel_data and not isinstance(rel_data[0], list)):
             raise DocumentError(f"degree {n}: relations need {ngens} rows",
                                 code="bad_group", degree=n)
+        rel_rows = len(rel_data)
         ncols = len(rel_data[0]) if rel_rows else 0
         rel = json_to_matrix(rel_data, ngens if rel_rows else 0, ncols, f"degree {n} relations")
         if rel.rows != ngens:
@@ -165,7 +174,7 @@ def doc_to_map(doc, max_rank=None):
     src = doc_to_complex(doc.get("source"), max_rank=max_rank)
     dst = doc_to_complex(doc.get("target"), max_rank=max_rank)
     comps = {}
-    for key, md in doc.get("components", {}).items():
+    for key, md in _object(doc.get("components", {}), "components").items():
         n = _parse_degree(key, "components")
         comps[n] = json_to_matrix(md, dst.group(n).ngens, src.group(n).ngens,
                                   f"component {n}")

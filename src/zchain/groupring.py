@@ -155,10 +155,6 @@ def I2_map(f, i2_src=None, i2_dst=None, i_src=None, i_dst=None, max_rank=None):
     if i2_dst is None:
         i2_dst = build_I2(f.dst, max_rank, ig=i_dst)
     im = I_map(f, i_src, i_dst)
-    cols = []
-    for j in range(i2_src.rank):
-        v = im.matrix.mul_vec(i2_src.inclusion_matrix.col(j))
-        cols.append(list(certify.found(solve(i2_dst.inclusion_matrix, v), "I2_map", None,
-                                       "I(f) must carry I^2 into I^2")))
-    m = IntMatrix.from_cols(cols, rows=i2_dst.rank)
+    m = certify.found(solve(i2_dst.inclusion_matrix, im.matrix @ i2_src.inclusion_matrix),
+                      "I2_map", None, "I(f) must carry I^2 into I^2")
     return mk_hom(i2_src.free, i2_dst.free, m)

@@ -438,31 +438,34 @@ def kernel_basis(m):
     return IntMatrix.from_cols([list(r) for r in rows], rows=m.cols)
 
 
-def solve(m, b):
-    """Deterministic solution x of m @ x == b over the integers, or None.
+def solve(m, B):
+    """Deterministic X with m @ X == B over the integers, or None.
 
-    The result is the canonical representative of the solution coset modulo
-    the kernel lattice (reduce against the HNF kernel basis), so it does not
-    depend on any internal choices.
+    B is an IntMatrix of right-hand sides; a single vector is a one-column
+    matrix.  Column j of X is the canonical representative of the solution
+    coset of column j of B modulo the kernel lattice (reduced against the
+    HNF kernel basis), so it does not depend on any internal choices.  None
+    when some column has no solution.
     """
-    if len(b) != m.rows:
-        raise ValueError("vector length mismatch")
+    if B.rows != m.rows:
+        raise ValueError("right-hand side row mismatch")
+    if B.cols == 0:
+        return IntMatrix.zeros(m.cols, 0)
     res = snf(m)
-    c = res.U.mul_vec(b)
-    y = [0] * m.cols
-    n = min(m.rows, m.cols)
-    for i in range(m.rows):
-        d = res.D.data[i][i] if i < n else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
+    C = res.U @ B
+    # the nonzero diagonal entries of D are exactly the first rank ones
+    if any(any(row) for row in C.data[res.rank:]):
+        return None
+    Y = []
+    for i in range(res.rank):
+        d = res.D.data[i][i]
+        if any(x % d for x in C.data[i]):
             return None
-    x = res.V.mul_vec(y)
+        Y.append([x // d for x in C.data[i]])
+    X = res.V.take_cols(range(res.rank)) @ IntMatrix(res.rank, B.cols, Y)
     # kernel_basis columns are the HNF rows of the kernel lattice, in order
-    K = kernel_basis(m)
-    return reduce_mod_rows(x, [K.col(j) for j in range(K.cols)])
+    K = kernel_basis(m).columns()
+    return IntMatrix.from_cols([reduce_mod_rows(x, K) for x in X.columns()], rows=m.cols)
 
 
 def inverse_unimodular(m):

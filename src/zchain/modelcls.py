@@ -23,7 +23,7 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     cokernel_complex,
-    induced_map,
+    is_quasi_iso,
     kernel_complex,
     memoized_on_map,
 )
@@ -99,13 +99,11 @@ def classify(f: ChainMap) -> MapClassification:
     kc, _ = kernel_complex(f)
     cc, _ = cokernel_complex(f)
     coker_free = all(is_free(cc.group(n)) for n in cc.degrees())
-    pad_degrees = sorted(set(f.src.window(1)) | set(f.dst.window(1)))
-    quasi_iso = all(induced_map(f, n).is_iso() for n in pad_degrees)
     return MapClassification(
         injective=kc.is_zero(),
         surjective=cc.is_zero(),
         coker_degreewise_free=coker_free,
-        quasi_iso=quasi_iso,
+        quasi_iso=is_quasi_iso(f),
         kernel_acyclic=kc.is_acyclic(),
         coker_acyclic=cc.is_acyclic(),
     )
@@ -179,11 +177,9 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
             dfree[n] = IntMatrix.zeros(0, free_data[n][0].cols)
     for n in a.degrees():
         B, C = free_data[n]
-        r = B.cols
         dn = dfree[n]
-        im_rows = column_lattice(dn)
-        y_cols = [list(solve(dn, row)) for row in im_rows]
-        Y = IntMatrix.from_cols(y_cols, rows=r)
+        Y = certify.found(solve(dn, IntMatrix.from_cols(column_lattice(dn), rows=dn.rows)),
+                          "split_free_complex", n, "image basis must have preimages")
         Zc = kernel_basis(dn)
         S = hstack([Y, Zc])
         Sinv = inverse_unimodular(S)
@@ -206,12 +202,8 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
         prev = certify.found(split.degrees.get(n - 1), "split_free_complex", n,
                              "nonzero image below the support window")
         # d'(y_i) expressed in the Z basis one degree down
-        cols = []
-        for j in range(sd.y_cols.cols):
-            img = dfree[n].mul_vec(sd.y_cols.col(j))
-            cols.append(list(certify.found(solve(prev.z_cols, img), "split_free_complex", n,
-                                           "image of d must consist of cycles")))
-        m = IntMatrix.from_cols(cols, rows=prev.z_cols.cols)
+        m = certify.found(solve(prev.z_cols, dfree[n] @ sd.y_cols), "split_free_complex", n,
+                          "image of d must consist of cycles")
         split.dprime[n] = mk_hom(split.y_group(n), split.z_group(n - 1), m)
     return split
 

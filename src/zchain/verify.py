@@ -148,18 +148,18 @@ def _failing_instance(q):
                 continue
             cyc = ha.lift(coords)
             qc = b.group(n).canon(q.component(n).matrix.mul_vec(cyc))
-            bp = preimage(b.diff(n + 1), qc)
+            bp = preimage(b.diff(n + 1), IntMatrix.from_cols([qc]))
             if bp is not None:
-                return n, a.group(n).canon(cyc), bp
+                return n, a.group(n).canon(cyc), bp.col(0)
         ck, proj = group_cokernel(hm)
         for j in range(hb.group.ngens):
             if ck.contains_zero(proj.matrix.col(j)):
                 continue
             target = hb.lift(tuple(1 if t == j else 0 for t in range(hb.group.ngens)))
-            astar = preimage(q.component(n), b.group(n).canon(target))
+            astar = preimage(q.component(n), IntMatrix.from_cols([b.group(n).canon(target)]))
             if astar is None:
                 continue
-            cyc = a.group(n - 1).canon(a.diff(n).matrix.mul_vec(astar))
+            cyc = a.group(n - 1).canon(a.diff(n).matrix.mul_vec(astar.col(0)))
             return n - 1, cyc, b.group(n).zero()
     return None
 

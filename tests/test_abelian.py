@@ -117,7 +117,7 @@ def test_canonicalization_detects_equality():
         same = lattice_contains(diff, g.rel_rows)
         assert (g.canon(v) == g.canon(w)) == same
         # cross-check membership with a direct solve against the relation matrix
-        assert same == (solve(g.relations, diff) is not None)
+        assert same == (solve(g.relations, IntMatrix.from_cols([diff])) is not None)
 
 
 def test_elements_enumeration():
@@ -183,7 +183,7 @@ def _has_section(s):
         rhs.extend(1 if i == j else 0 for i in range(n))
     if r:
         rhs.extend([0] * (r * k))
-    return solve(sys_m, tuple(rhs)) is not None
+    return solve(sys_m, IntMatrix.from_cols([rhs])) is not None
 
 
 def test_direct_sum_and_tensor():
@@ -205,11 +205,11 @@ def test_direct_sum_and_tensor():
 def test_preimage_and_factor_through():
     Z = free_group(1)
     times2 = mk_hom(Z, Z, [[2]])
-    assert preimage(times2, (6,)) == (3,)
-    assert preimage(times2, (3,)) is None
+    assert preimage(times2, IntMatrix.from_rows([[6, -2]])) == IntMatrix.from_rows([[3, -1]])
+    assert preimage(times2, IntMatrix.from_rows([[6, 3]])) is None
 
     theta = mk_hom(Z, Zmod(2), [[1]])
-    assert preimage(theta, (1,)) == (1,)
+    assert preimage(theta, IntMatrix.from_rows([[1]])) == IntMatrix.from_rows([[1]])
 
     k, incl = kernel(theta)
     h = mk_hom(Z, Z, [[4]])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -368,3 +369,59 @@ def test_verify_smallest_degree_window(capsys):
     code, out = run_cli(capsys, ["verify", "--seed", "1", "--cases", "1", "--degrees", "0..3"])
     assert code == 0
     assert json.loads(out)["degrees"] == [0, 3]
+
+
+def _complex(**fields):
+    return {**s2_doc(), **fields}
+
+
+def _group(key, support):
+    return _complex(support=support, groups={key: {"generators": 1, "relations": [["2"]]}})
+
+
+@pytest.mark.parametrize("command, doc, expected", [
+    ("homology", _complex(groups={"0": "x"}), "bad_group"),
+    ("homology", _complex(groups={"0": {"generators": 1, "relations": [5]}}), "bad_group"),
+    ("homology", _complex(groups={"0": {"generators": 1, "relations": 5}}), "bad_group"),
+    ("homology", _complex(groups="x"), "bad_document"),
+    ("homology", _complex(groups=[], support=None), "bad_document"),
+    ("homology", _complex(differentials=[]), "bad_document"),
+    ("classify", {**x2_map_doc(), "components": [["2"]]}, "bad_document"),
+    ("homology", _group("0 ", [0, 0]), "bad_degree"),
+    ("homology", _group("1_0", [0, 10]), "bad_degree"),
+    ("homology", _group("٠", [0, 0]), "bad_degree"),
+    ("homology", _complex(differentials={"1 ": [[]]}, support=[0, 1]), "bad_degree"),
+    ("classify", {**x2_map_doc(), "components": {" 0": [["2"]]}}, "bad_degree"),
+], ids=["group-string", "relation-row-int", "relations-int", "groups-string", "groups-list",
+        "differentials-list", "components-list", "degree-space", "degree-underscore",
+        "degree-non-ascii", "differential-degree-space", "component-degree-space"])
+def test_malformed_document_shapes_exit_2(capsys, tmp_path, command, doc, expected):
+    path = write(tmp_path, "doc.json", doc)
+    assert error_code(capsys, [command, path]) == (2, expected)
+
+
+@pytest.mark.parametrize("text", [
+    '{"matrix": [[' + "9" * 5000 + "]]}",   # an integer literal past Python's digit limit
+    "[" * 100000 + "]" * 100000,            # nesting past the recursion limit
+    b"\xff",                                # not UTF-8
+], ids=["long-integer", "deep-nesting", "not-utf8"])
+def test_unreadable_json_exits_2(capsys, tmp_path, text):
+    p = tmp_path / "m.json"
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text, encoding="utf-8")
+    assert error_code(capsys, ["snf", str(p)]) == (2, "bad_json")
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--seed", "1"], "bdd1ff58690ceee9d971c127f794daa55bc47f87b9bcf082147b9d5da693338a"),
+    (["--seed", "7", "--cases", "20"],
+     "878e1078d6936b110cac8e2861ebe57d1cb09910d36c2d2fa012e4c933461509"),
+])
+def test_verify_stdout_is_pinned(flags, digest):
+    # the report bytes of a fresh process; a change here changes some answer
+    proc = subprocess.run([sys.executable, "-m", "zchain.cli", "verify", *flags],
+                          capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

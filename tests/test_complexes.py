@@ -17,7 +17,6 @@ from zchain.complexes import (
     cycles_subgroup,
     disk,
     dsum_complex,
-    homology,
     identity_chain_map,
     induced_map,
     is_quasi_iso,

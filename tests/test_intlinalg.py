@@ -100,15 +100,25 @@ def test_kernel_examples():
     assert kernel_basis(IntMatrix(1, 0, [[]])).cols == 0
 
 
+def vec(*xs):
+    """A vector as the one-column matrix that solve takes and returns."""
+    return IntMatrix.from_cols([xs])
+
+
 def test_solve_examples():
-    assert solve(IntMatrix.from_rows([[2]]), (4,)) == (2,)
-    assert solve(IntMatrix.from_rows([[2]]), (3,)) is None
-    assert solve(IntMatrix.from_rows([[1, 1]]), (0,)) == (0, 0)
+    assert solve(IntMatrix.from_rows([[2]]), vec(4)) == vec(2)
+    assert solve(IntMatrix.from_rows([[2]]), vec(3)) is None
+    assert solve(IntMatrix.from_rows([[1, 1]]), vec(0)) == vec(0, 0)
+    # one column per right-hand side; None when any column is unsolvable
+    m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    assert solve(m, IntMatrix.from_rows([[4, 2], [3, 0]])) == IntMatrix.from_rows([[2, 1], [1, 0]])
+    assert solve(m, IntMatrix.from_rows([[4, 1], [3, 0]])) is None
 
 
 def test_solve_zero_cols():
-    assert solve(IntMatrix(2, 0, [[], []]), (0, 0)) == ()
-    assert solve(IntMatrix(2, 0, [[], []]), (1, 0)) is None
+    assert solve(IntMatrix(2, 0, [[], []]), vec(0, 0)) == vec()
+    assert solve(IntMatrix(2, 0, [[], []]), vec(1, 0)) is None
+    assert solve(IntMatrix.from_rows([[2, 1]]), IntMatrix(1, 0, [[]])) == IntMatrix(2, 0, [[], []])
 
 
 def test_hnf_canonical_under_row_ops():
@@ -145,15 +155,37 @@ def test_solve_round_trip():
     for _ in range(120):
         M = rand_matrix(rng, max_dim=6, lo=-6, hi=6)
         x0 = tuple(rng.randrange(-5, 6) for _ in range(M.cols))
-        b = M.mul_vec(x0)
+        b = vec(*M.mul_vec(x0))
         x = solve(M, b)
         assert x is not None
-        assert M.mul_vec(x) == b
+        assert M @ x == b
         # canonical: shifting by a kernel vector does not change the answer
         K = kernel_basis(M)
         if K.cols:
             shifted = tuple(a + 2 * b2 for a, b2 in zip(x0, K.col(0)))
-            assert solve(M, M.mul_vec(shifted)) == solve(M, b)
+            assert solve(M, vec(*M.mul_vec(shifted))) == solve(M, b)
+
+
+def test_solve_matrix_is_columnwise():
+    # column j of solve(M, B) is exactly the solution for column j alone
+    rng = random.Random("solve-columnwise")
+    for _ in range(80):
+        M = rand_matrix(rng, max_dim=5, lo=-6, hi=6)
+        k = rng.randrange(0, 4)
+        X0 = IntMatrix(M.cols, k, [[rng.randrange(-5, 6) for _ in range(k)] for _ in range(M.cols)])
+        B = M @ X0
+        if k and rng.random() < 0.3:
+            # perturb one entry: that column may become unsolvable
+            rows = [list(r) for r in B.data]
+            if rows:
+                rows[rng.randrange(len(rows))][rng.randrange(k)] += 1
+            B = IntMatrix(B.rows, k, rows)
+        per_column = [solve(M, vec(*B.col(j))) for j in range(k)]
+        X = solve(M, B)
+        if any(x is None for x in per_column):
+            assert X is None
+        else:
+            assert X == IntMatrix.from_cols([x.col(0) for x in per_column], rows=M.cols)
 
 
 def test_lattice_utilities():

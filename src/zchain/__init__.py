@@ -50,6 +50,7 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     HomologyClassData,
+    block_complex,
     cone,
     disk,
     dsum_complex,

@@ -16,8 +16,8 @@ import os
 import sys
 
 from .errors import CertificateFailed, DocumentError, RankCapExceeded, ZchainError
-from .documents import (complex_to_doc, doc_to_complex, doc_to_map, json_to_matrix, map_to_doc,
-                        matrix_to_json)
+from .documents import (complex_to_doc, decimal_string, doc_to_complex, doc_to_map,
+                        json_to_matrix, map_to_doc, matrix_to_json)
 from .complexes import tensor
 from .factor import factor_acf_fib, factor_cof_afb, gamma
 from .intlinalg import snf
@@ -86,7 +86,7 @@ def _emit_text(payload, indent=0):
 
 
 def _group_summary(g):
-    return {"invariant_factors": [str(d) for d in g.invariant_factors],
+    return {"invariant_factors": [decimal_string(d) for d in g.invariant_factors],
             "free_rank": g.free_rank}
 
 
@@ -172,21 +172,30 @@ def _cmd_lift(args, cap):
     return {"lift": map_to_doc(h)}, 0
 
 
-def _cmd_tensor(args, cap):
-    a = doc_to_complex(_read_json(args.first), max_rank=cap)
-    b = doc_to_complex(_read_json(args.second), max_rank=cap)
+def _check_tensor_rank(a, b, cap):
+    """Refuse a (x) b before it is built if one of its degrees exceeds the cap."""
     if a.support and b.support:
         for n in range(a.support[0] + b.support[0], a.support[1] + b.support[1] + 1):
             size = sum(a.group(p).ngens * b.group(n - p).ngens for p in a.degrees())
             if size > cap:
                 raise RankCapExceeded(
                     f"tensor degree {n} needs {size} generators, exceeding the cap {cap}")
+
+
+def _cmd_tensor(args, cap):
+    a = doc_to_complex(_read_json(args.first), max_rank=cap)
+    b = doc_to_complex(_read_json(args.second), max_rank=cap)
+    _check_tensor_rank(a, b, cap)
     return {"tensor": complex_to_doc(tensor(a, b))}, 0
 
 
 def _cmd_pushout_product(args, cap):
     i = doc_to_map(_read_json(args.first), max_rank=cap)
     j = doc_to_map(_read_json(args.second), max_rank=cap)
+    # the four tensor products it builds; B (x) D also bounds the cokernel tensor
+    for a in (i.src, i.dst):
+        for b in (j.src, j.dst):
+            _check_tensor_rank(a, b, cap)
     cert = pushout_product(i, j)
     return {
         "map": map_to_doc(cert.k),

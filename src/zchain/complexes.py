@@ -254,6 +254,19 @@ def suspend(a, k):
     return ChainComplex(groups, diffs, support=(lo + k, hi + k), validate=False)
 
 
+def block_complex(lo, hi, parts, blocks):
+    """The graded direct sum with DirectSum(parts(n)) in degrees lo..hi.
+
+    blocks(n) maps (target part, source part) to the blocks of d(n); missing
+    blocks are zero.  d o d = 0 is checked.  Returns the complex and the
+    layouts, one DirectSum per degree of lo..hi.
+    """
+    layouts = {n: DirectSum(parts(n)) for n in range(lo, hi + 1)}
+    diffs = {n: layouts[n - 1].block_matrix(layouts[n], blocks(n)) for n in range(lo + 1, hi + 1)}
+    groups = {n: ds.group for n, ds in layouts.items()}
+    return ChainComplex(groups, diffs, support=(lo, hi), validate=True), layouts
+
+
 def cone(a):
     """Cone a + (shifted a) with d(x, x') = (dx + x', -dx'); always acyclic.
 
@@ -262,22 +275,12 @@ def cone(a):
     if a.support is None:
         z = zero_complex()
         return z, zero_chain_map(a, z)
-    lo, hi = a.support
-    layouts = {}
-    groups = {}
-    for n in range(lo, hi + 2):
-        ds = DirectSum([a.group(n), a.group(n - 1)])
-        layouts[n] = ds
-        groups[n] = ds.group
-    diffs = {}
-    for n in range(lo + 1, hi + 2):
-        blocks = {
-            (0, 0): a.diff(n).matrix,
-            (0, 1): IntMatrix.identity(a.group(n - 1).ngens),
-            (1, 1): -a.diff(n - 1).matrix,
-        }
-        diffs[n] = layouts[n - 1].block_matrix(layouts[n], blocks)
-    c = ChainComplex(groups, diffs, support=(lo, hi + 1), validate=True)
+    c, layouts = block_complex(
+        a.support[0], a.support[1] + 1,
+        lambda n: [a.group(n), a.group(n - 1)],
+        lambda n: {(0, 0): a.diff(n).matrix,
+                   (0, 1): IntMatrix.identity(a.group(n - 1).ngens),
+                   (1, 1): -a.diff(n - 1).matrix})
     incl = ChainMap(a, c, {n: layouts[n].inclusion(0).matrix for n in a.degrees()}, validate=True)
     return c, incl
 
@@ -345,13 +348,10 @@ def dsum_complex(parts):
         return z, [zero_chain_map(p, z) for p in parts], [zero_chain_map(z, p) for p in parts]
     lo = min(s[0] for s in supports)
     hi = max(s[1] for s in supports)
-    layouts = {n: DirectSum([p.group(n) for p in parts]) for n in range(lo, hi + 1)}
-    groups = {n: layouts[n].group for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        blocks = {(i, i): p.diff(n).matrix for i, p in enumerate(parts)}
-        diffs[n] = layouts[n - 1].block_matrix(layouts[n], blocks)
-    total = ChainComplex(groups, diffs, support=(lo, hi), validate=False)
+    total, layouts = block_complex(
+        lo, hi,
+        lambda n: [p.group(n) for p in parts],
+        lambda n: {(i, i): p.diff(n).matrix for i, p in enumerate(parts)})
     incls = []
     projs = []
     for i, p in enumerate(parts):
@@ -415,67 +415,56 @@ def cokernel_complex(f):
 
 
 def _tensor_layout(a, b, n):
-    """Summands (p, q, tensor group) of degree n of a (x) b, p ascending."""
-    out = []
+    """Summand indices (p, q) of degree n of a (x) b, p ascending."""
+    return [(p, n - p) for p in a.degrees() if b.support[0] <= n - p <= b.support[1]]
+
+
+def _tensor(a, b):
+    """a (x) b with its layouts, the summand a_p (x) b_q of degree n at
+    position _tensor_layout(a, b, n).index((p, q))."""
     if a.support is None or b.support is None:
+        return zero_complex(), {}
+
+    def blocks(n):
+        dst_index = {pq: i for i, pq in enumerate(_tensor_layout(a, b, n - 1))}
+        out = {}
+        for si, (p, q) in enumerate(_tensor_layout(a, b, n)):
+            ti = dst_index.get((p - 1, q))
+            if ti is not None:
+                out[(ti, si)] = kron(a.diff(p).matrix, IntMatrix.identity(b.group(q).ngens))
+            ti = dst_index.get((p, q - 1))
+            if ti is not None:
+                m = kron(IntMatrix.identity(a.group(p).ngens), b.diff(q).matrix)
+                out[(ti, si)] = m if p % 2 == 0 else -m
         return out
-    for p in a.degrees():
-        q = n - p
-        if b.support[0] <= q <= b.support[1]:
-            out.append((p, q, tensor_group(a.group(p), b.group(q))))
-    return out
+
+    return block_complex(
+        a.support[0] + b.support[0], a.support[1] + b.support[1],
+        lambda n: [tensor_group(a.group(p), b.group(q)) for p, q in _tensor_layout(a, b, n)],
+        blocks)
 
 
 def tensor(a, b):
     """Graded tensor product with the usual sign: d(x (x) y) uses (-1)^p on the
     second factor in degree p of the first."""
-    if a.support is None or b.support is None:
-        return zero_complex()
-    lo = a.support[0] + b.support[0]
-    hi = a.support[1] + b.support[1]
-    layouts = {}
-    groups = {}
-    for n in range(lo, hi + 1):
-        parts = _tensor_layout(a, b, n)
-        ds = DirectSum([t for (_, _, t) in parts])
-        layouts[n] = (parts, ds)
-        groups[n] = ds.group
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        src_parts, src_ds = layouts[n]
-        dst_parts, dst_ds = layouts[n - 1]
-        dst_index = {(p, q): i for i, (p, q, _) in enumerate(dst_parts)}
-        blocks = {}
-        for si, (p, q, _) in enumerate(src_parts):
-            ti = dst_index.get((p - 1, q))
-            if ti is not None:
-                blocks[(ti, si)] = kron(a.diff(p).matrix,
-                                        IntMatrix.identity(b.group(q).ngens))
-            ti = dst_index.get((p, q - 1))
-            if ti is not None:
-                m = kron(IntMatrix.identity(a.group(p).ngens), b.diff(q).matrix)
-                blocks[(ti, si)] = m if p % 2 == 0 else -m
-        diffs[n] = dst_ds.block_matrix(src_ds, blocks)
-    return ChainComplex(groups, diffs, support=(lo, hi), validate=True)
+    return _tensor(a, b)[0]
 
 
 def tensor_map(f, g):
     """f (x) g on the tensor complexes, degreewise Kronecker blocks."""
-    src = tensor(f.src, g.src)
-    dst = tensor(f.dst, g.dst)
+    src, src_layouts = _tensor(f.src, g.src)
+    dst, dst_layouts = _tensor(f.dst, g.dst)
     comps = {}
     for n in src.degrees():
-        src_parts = _tensor_layout(f.src, g.src, n)
-        dst_parts = _tensor_layout(f.dst, g.dst, n)
-        src_ds = DirectSum([t for (_, _, t) in src_parts])
-        dst_ds = DirectSum([t for (_, _, t) in dst_parts])
-        dst_index = {(p, q): i for i, (p, q, _) in enumerate(dst_parts)}
+        if n not in dst_layouts:
+            continue  # the target is zero in degree n
+        dst_index = {pq: i for i, pq in enumerate(_tensor_layout(f.dst, g.dst, n))}
         blocks = {}
-        for si, (p, q, _) in enumerate(src_parts):
+        for si, (p, q) in enumerate(_tensor_layout(f.src, g.src, n)):
             ti = dst_index.get((p, q))
             if ti is not None:
                 blocks[(ti, si)] = kron(f.component(p).matrix, g.component(q).matrix)
-        comps[n] = dst_ds.block_matrix(src_ds, blocks)
+        comps[n] = dst_layouts[n].block_matrix(src_layouts[n], blocks)
     return ChainMap(src, dst, comps, validate=True)
 
 

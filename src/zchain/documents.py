@@ -11,6 +11,7 @@ decimal strings.  Parse failures raise DocumentError with enough structure
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import (
     DocumentError,
@@ -28,8 +29,22 @@ SCHEMA_VERSION = "1"
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
+def decimal_string(x):
+    """Every decimal digit of the int x.  Python's int/str digit limit is
+    lifted for this conversion only; it still guards the JSON input."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def matrix_to_json(m):
-    return [[str(x) for x in row] for row in m.data]
+    return [[decimal_string(x) for x in row] for row in m.data]
 
 
 def _entry(x):

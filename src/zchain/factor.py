@@ -11,11 +11,13 @@ second interposes
 
     X_n = A_n + I(A_{n-1}) + I^2(A_{n-2}) + I(B_n) + I^2(B_{n-1})
 
-with the five differential formulas spelled out in ``factor_cof_afb``; there
-f = p o i with i a cofibration and p an acyclic fibration.  With A = 0 the
+with the five differential formulas spelled out in ``_cof_afb``; there
+f = p o i with i a cofibration and p an acyclic fibration.  Both middles are
+graded direct sums built by ``complexes.block_complex``.  With A = 0 the
 second construction collapses to the cofibrant replacement Gamma(B)_n =
 I(B_n) + I^2(B_{n-1}), a degreewise-free complex with a surjective
-quasi-isomorphism onto B.
+quasi-isomorphism onto B, and ``gamma`` computes it exactly so: as the
+middle and right map of the second factorization of 0 -> B.
 
 Every factorization is certified at construction through ``zchain.certify``:
 d^2 = 0, the composite equals f exactly, and the two pieces classify as
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 
 from . import certify
 from .errors import InfiniteGroup
-from .abelian import DirectSum, GroupHom
-from .complexes import ChainComplex, ChainMap, zero_chain_map, zero_complex
+from .abelian import GroupHom
+from .complexes import ChainComplex, ChainMap, block_complex, zero_chain_map, zero_complex
 from .groupring import IGroup, I2Group, I2_map, I_map, build_I, build_I2
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, hstack
 from .modelcls import MapClassification, classify
 
 
@@ -92,6 +94,33 @@ def _check_finite(c, name):
             raise InfiniteGroup(f"{name} has an infinite group in degree {n}")
 
 
+def _certified(name, f, middle, layouts, p, labels, kinds):
+    """f = p o (inclusion of the A summand), certified; labels give each part
+    a kind and a degree shift, kinds the promised (left, right) classes."""
+    left = ChainMap(f.src, middle, {n: layouts[n].inclusion(0).matrix for n in f.src.degrees()},
+                    validate=True)
+    summands = {n: tuple((kind, n + shift, g.ngens) for (kind, shift), g in zip(labels, ds.parts))
+                for n, ds in layouts.items()}
+    certify.equal_maps(p @ left, f, name, "factorization composite does not reproduce the map")
+    cls_left = classify(left)
+    cls_p = classify(p)
+    certify.classified(cls_left, kinds[0], name, "left piece")
+    certify.classified(cls_p, kinds[1], name, "right piece")
+    return Factorization(middle, left, p, summands, cls_left, cls_p)
+
+
+def _projection(middle, layouts, f, theta_part, ib):
+    """middle -> B: f on the A summand, theta on the I(B_n) summand, zero elsewhere."""
+    b = f.dst
+    comps = {}
+    for n in middle.degrees():
+        cols = [IntMatrix.zeros(b.group(n).ngens, g.ngens) for g in layouts[n].parts]
+        cols[0] = f.component(n).matrix
+        cols[theta_part] = ib.i(n).theta_restricted.matrix
+        comps[n] = hstack(cols)
+    return ChainMap(middle, b, comps, validate=True)
+
+
 def factor_acf_fib(f: ChainMap, max_rank=None) -> Factorization:
     """f = (fibration) o (acyclic cofibration) through W."""
     a, b = f.src, f.dst
@@ -104,60 +133,23 @@ def factor_acf_fib(f: ChainMap, max_rank=None) -> Factorization:
     if b.support:
         los.append(b.support[0] - 1)
         his.append(b.support[1])
-    lo, hi = min(los), max(his)
-
-    layouts = {}
-    summands = {}
-    groups = {}
-    for n in range(lo, hi + 1):
-        parts = [
-            ("A", n, a.group(n)),
-            ("I(B)", n, ib.i(n).free),
-            ("I(B)", n + 1, ib.i(n + 1).free),
-        ]
-        ds = DirectSum([g for (_, _, g) in parts])
-        layouts[n] = ds
-        groups[n] = ds.group
-        summands[n] = tuple((kind, deg, g.ngens) for (kind, deg, g) in parts)
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        blocks = {
-            (0, 0): a.diff(n).matrix,
-            (1, 1): ib.i_diff(n).matrix,
-            (2, 1): -IntMatrix.identity(ib.i(n).rank),
-            (2, 2): -ib.i_diff(n + 1).matrix,
-        }
-        diffs[n] = layouts[n - 1].block_matrix(layouts[n], blocks)
-    w = ChainComplex(groups, diffs, support=(lo, hi), validate=True)
-
-    j = ChainMap(a, w, {n: layouts[n].inclusion(0).matrix for n in a.degrees()}, validate=True)
-    p_comps = {}
-    for n in w.degrees():
-        src_ds = layouts[n]
-        tgt = b.group(n)
-        dst_ds = DirectSum([tgt])
-        blocks = {(0, 0): f.component(n).matrix, (0, 1): ib.i(n).theta_restricted.matrix}
-        p_comps[n] = dst_ds.block_matrix(src_ds, blocks)
-    p = ChainMap(w, b, p_comps, validate=True)
-
-    certify.equal_maps(p @ j, f, "factor_acf_fib",
-                       "factorization composite does not reproduce the map")
-    cls_j = classify(j)
-    cls_p = classify(p)
-    certify.classified(cls_j, "acyclic_cofibration", "factor_acf_fib", "left piece")
-    certify.classified(cls_p, "fibration", "factor_acf_fib", "right piece")
-    return Factorization(w, j, p, summands, cls_j, cls_p)
+    w, layouts = block_complex(
+        min(los), max(his),
+        lambda n: [a.group(n), ib.i(n).free, ib.i(n + 1).free],
+        lambda n: {(0, 0): a.diff(n).matrix,
+                   (1, 1): ib.i_diff(n).matrix,
+                   (2, 1): -IntMatrix.identity(ib.i(n).rank),
+                   (2, 2): -ib.i_diff(n + 1).matrix})
+    return _certified("factor_acf_fib", f, w, layouts, _projection(w, layouts, f, 1, ib),
+                      (("A", 0), ("I(B)", 0), ("I(B)", 1)), ("acyclic_cofibration", "fibration"))
 
 
-def factor_cof_afb(f: ChainMap, max_rank=None) -> Factorization:
-    """f = (acyclic fibration) o (cofibration) through X."""
+def _cof_afb(f, max_rank):
+    """The middle X of the second factorization with its layouts and p: X -> B,
+    for f between degreewise finite complexes, not both zero."""
     a, b = f.src, f.dst
-    _check_finite(a, "source")
-    _check_finite(b, "target")
     ia = _IData(a, max_rank)
     ib = _IData(b, max_rank)
-    if a.support is None and b.support is None:
-        return _trivial_factorization(f)
     los = []
     his = []
     if a.support:
@@ -174,92 +166,50 @@ def factor_cof_afb(f: ChainMap, max_rank=None) -> Factorization:
         n: I2_map(f.component(n), ia.i2(n), ib.i2(n), ia.i(n), ib.i(n))
         for n in range(lo - 1, hi + 1)
     }
+    # d(a)            = da
+    # d(alpha')       = theta(alpha') - d alpha' (shifted) - I(f)(alpha')
+    # d(alpha'')      = alpha'' + d alpha'' (shifted) + I^2(f)(alpha'')
+    # d(beta)         = d beta
+    # d(beta')        = beta' - d beta' (shifted)
+    x, layouts = block_complex(
+        lo, hi,
+        lambda n: [a.group(n), ia.i(n - 1).free, ia.i2(n - 2).free, ib.i(n).free,
+                   ib.i2(n - 1).free],
+        lambda n: {(0, 0): a.diff(n).matrix,
+                   (0, 1): ia.i(n - 1).theta_restricted.matrix,
+                   (1, 1): -ia.i_diff(n - 1).matrix,
+                   (3, 1): -if_maps[n - 1].matrix,
+                   (1, 2): ia.i2(n - 2).inclusion_matrix,
+                   (2, 2): ia.i2_diff(n - 2).matrix,
+                   (4, 2): if2_maps[n - 2].matrix,
+                   (3, 3): ib.i_diff(n).matrix,
+                   (3, 4): ib.i2(n - 1).inclusion_matrix,
+                   (4, 4): -ib.i2_diff(n - 1).matrix})
+    return x, layouts, _projection(x, layouts, f, 3, ib)
 
-    layouts = {}
-    summands = {}
-    groups = {}
-    for n in range(lo, hi + 1):
-        parts = [
-            ("A", n, a.group(n)),
-            ("I(A)", n - 1, ia.i(n - 1).free),
-            ("I2(A)", n - 2, ia.i2(n - 2).free),
-            ("I(B)", n, ib.i(n).free),
-            ("I2(B)", n - 1, ib.i2(n - 1).free),
-        ]
-        ds = DirectSum([g for (_, _, g) in parts])
-        layouts[n] = ds
-        groups[n] = ds.group
-        summands[n] = tuple((kind, deg, g.ngens) for (kind, deg, g) in parts)
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        # d(a)            = da
-        # d(alpha')       = theta(alpha') - d alpha' (shifted) - I(f)(alpha')
-        # d(alpha'')      = alpha'' + d alpha'' (shifted) + I^2(f)(alpha'')
-        # d(beta)         = d beta
-        # d(beta')        = beta' - d beta' (shifted)
-        blocks = {
-            (0, 0): a.diff(n).matrix,
-            (0, 1): ia.i(n - 1).theta_restricted.matrix,
-            (1, 1): -ia.i_diff(n - 1).matrix,
-            (3, 1): -if_maps[n - 1].matrix,
-            (1, 2): ia.i2(n - 2).inclusion_matrix,
-            (2, 2): ia.i2_diff(n - 2).matrix,
-            (4, 2): if2_maps[n - 2].matrix,
-            (3, 3): ib.i_diff(n).matrix,
-            (3, 4): ib.i2(n - 1).inclusion_matrix,
-            (4, 4): -ib.i2_diff(n - 1).matrix,
-        }
-        diffs[n] = layouts[n - 1].block_matrix(layouts[n], blocks)
-    x = ChainComplex(groups, diffs, support=(lo, hi), validate=True)
 
-    i = ChainMap(a, x, {n: layouts[n].inclusion(0).matrix for n in a.degrees()}, validate=True)
-    p_comps = {}
-    for n in x.degrees():
-        src_ds = layouts[n]
-        dst_ds = DirectSum([b.group(n)])
-        blocks = {(0, 0): f.component(n).matrix, (0, 3): ib.i(n).theta_restricted.matrix}
-        p_comps[n] = dst_ds.block_matrix(src_ds, blocks)
-    p = ChainMap(x, b, p_comps, validate=True)
-
-    certify.equal_maps(p @ i, f, "factor_cof_afb",
-                       "factorization composite does not reproduce the map")
-    cls_i = classify(i)
-    cls_p = classify(p)
-    certify.classified(cls_i, "cofibration", "factor_cof_afb", "left piece")
-    certify.classified(cls_p, "acyclic_fibration", "factor_cof_afb", "right piece")
-    return Factorization(x, i, p, summands, cls_i, cls_p)
+def factor_cof_afb(f: ChainMap, max_rank=None) -> Factorization:
+    """f = (acyclic fibration) o (cofibration) through X."""
+    _check_finite(f.src, "source")
+    _check_finite(f.dst, "target")
+    if f.src.support is None and f.dst.support is None:
+        return _trivial_factorization(f)
+    x, layouts, p = _cof_afb(f, max_rank)
+    return _certified("factor_cof_afb", f, x, layouts, p,
+                      (("A", 0), ("I(A)", -1), ("I2(A)", -2), ("I(B)", 0), ("I2(B)", -1)),
+                      ("cofibration", "acyclic_fibration"))
 
 
 def gamma(b: ChainComplex, max_rank=None):
     """Cofibrant replacement: Gamma(b)_n = I(b_n) + I^2(b_{n-1}) with
     d(beta + beta') = d beta + beta' - d beta' (second summand shifted) and
-    the surjective quasi-isomorphism p(beta + beta') = theta(beta)."""
+    the surjective quasi-isomorphism p(beta + beta') = theta(beta); the
+    middle and right map of the second factorization of 0 -> b."""
     _check_finite(b, "complex")
     if b.support is None:
         z = zero_complex()
         return z, zero_chain_map(z, b)
-    ib = _IData(b, max_rank)
-    lo, hi = b.support[0], b.support[1] + 1
-    layouts = {}
-    groups = {}
-    for n in range(lo, hi + 1):
-        ds = DirectSum([ib.i(n).free, ib.i2(n - 1).free])
-        layouts[n] = ds
-        groups[n] = ds.group
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        blocks = {
-            (0, 0): ib.i_diff(n).matrix,
-            (0, 1): ib.i2(n - 1).inclusion_matrix,
-            (1, 1): -ib.i2_diff(n - 1).matrix,
-        }
-        diffs[n] = layouts[n - 1].block_matrix(layouts[n], blocks)
-    g = ChainComplex(groups, diffs, support=(lo, hi), validate=True)
-    p_comps = {}
-    for n in g.degrees():
-        dst_ds = DirectSum([b.group(n)])
-        p_comps[n] = dst_ds.block_matrix(layouts[n], {(0, 0): ib.i(n).theta_restricted.matrix})
-    p = ChainMap(g, b, p_comps, validate=True)
+    g, _, p = _cof_afb(zero_chain_map(zero_complex(), b), max_rank)
     certify.check(g.is_degreewise_free(), "gamma", "replacement is not degreewise free")
     certify.classified(classify(p), "acyclic_fibration", "gamma", "replacement projection")
     return g, p

@@ -40,7 +40,7 @@ from .errors import (
     NotMonoNotEpi,
     PreconditionFailed,
 )
-from .abelian import factor_through, lift_free_hom, mk_hom, preimage
+from .abelian import DirectSum, GroupHom, factor_through, lift_free_hom, mk_hom, preimage
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -50,7 +50,7 @@ from .complexes import (
     suspend,
     zero_chain_map,
 )
-from .intlinalg import IntMatrix, blockdiag, hstack, inverse_unimodular, solve, vstack
+from .intlinalg import IntMatrix, inverse_unimodular, vstack
 from .modelcls import classify, is_contractible, split_free_complex
 from .monoidal_proper import pullback
 
@@ -265,18 +265,15 @@ def lift_from_splitting(ext: Extension, n_map: ChainMap) -> ChainMap:
     b = problem.i.dst
     ntilde_comps = {}
     for deg in b.degrees():
-        zb = ext.Z.group(deg)
-        qt = ext.qtilde.component(deg).matrix
-        pt = ext.ptilde.component(deg).matrix
+        # (qtilde, ptilde): Z -> B + T
+        pair = GroupHom(ext.Z.group(deg), DirectSum([b.group(deg), ext.T.group(deg)]).group,
+                        vstack([ext.qtilde.component(deg).matrix,
+                                ext.ptilde.component(deg).matrix]), _checked=True)
         target_t = n_map.component(deg).matrix @ ext.pC.component(deg).matrix
-        stacked = vstack([qt, pt])
-        rel = blockdiag([b.group(deg).relations, ext.T.group(deg).relations])
-        aug = hstack([stacked, rel])
         # column j: an element of Z over the generator e_j of B and over n(pC(e_j)) in T
         rhs = vstack([IntMatrix.identity(b.group(deg).ngens), target_t])
-        x = certify.found(solve(aug, rhs), "lift_from_splitting", deg,
-                          "pullback lift must exist for a splitting")
-        ntilde_comps[deg] = x.take_rows(range(zb.ngens))
+        ntilde_comps[deg] = certify.found(preimage(pair, rhs), "lift_from_splitting", deg,
+                                          "pullback lift must exist for a splitting")
     ntilde = ChainMap(b, ext.Z, ntilde_comps, validate=True)
     h = ext.gtilde @ ntilde
     for got, expected in ((problem.q @ h, problem.g), (h @ problem.i, problem.f)):
@@ -350,10 +347,8 @@ def rlp_instance(q: ChainMap, gen: str, n: int, a=None, bprime=None):
     q_a = dst.group(n).canon(q.component(n).matrix.mul_vec(a))
     if d_bprime != q_a:
         raise PreconditionFailed("square does not commute: d b' differs from q a")
-    stacked = vstack([src.diff(n + 1).matrix, q.component(n + 1).matrix])
-    rel = blockdiag([src.group(n).relations, dst.group(n + 1).relations])
-    aug = hstack([stacked, rel])
-    x = solve(aug, IntMatrix.from_cols([a + bprime]))
-    if x is None:
-        return None
-    return x.col(0)[: src.group(n + 1).ngens]
+    # (d, q): A_{n+1} -> A_n + B_{n+1}
+    pair = GroupHom(src.group(n + 1), DirectSum([src.group(n), dst.group(n + 1)]).group,
+                    vstack([src.diff(n + 1).matrix, q.component(n + 1).matrix]), _checked=True)
+    x = preimage(pair, IntMatrix.from_cols([a + bprime]))
+    return None if x is None else x.col(0)

@@ -425,3 +425,42 @@ def test_verify_stdout_is_pinned(flags, digest):
                           capture_output=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_results_past_the_digit_limit_print_exactly(capsys, tmp_path):
+    # 10^2999 (10^2999 + 1) = 10^5998 + 10^2999 has 5,999 digits, more than
+    # Python converts to a string by default
+    big = "1" + "0" * 2999
+    product = "1" + "0" * 2998 + "1" + "0" * 2999
+    matrix = [[big, "0"], ["0", big[:-1] + "1"]]
+    code, out = run_cli(capsys, ["snf", write(tmp_path, "m.json", {"matrix": matrix})])
+    assert code == 0
+    assert json.loads(out)["d"] == [["1", "0"], ["0", product]]
+    doc = _complex(groups={"0": {"generators": 2, "relations": matrix}})
+    code, out = run_cli(capsys, ["homology", write(tmp_path, "c.json", doc)])
+    assert code == 0
+    assert json.loads(out)["homology"][1]["invariant_factors"] == [product]
+    # the limit still guards the input
+    path = write(tmp_path, "long.json", {"matrix": [["9" * 5000]]})
+    assert error_code(capsys, ["snf", path]) == (2, "bad_matrix")
+
+
+def _cofibration_from_zero(rank):
+    """0 -> Z^rank in degree 0."""
+    target = _complex(groups={"0": {"generators": rank, "relations": []}})
+    return {"schema_version": "1", "source": {"schema_version": "1", "support": None},
+            "target": target}
+
+
+@pytest.mark.parametrize("ranks, code", [((2, 3), 0), ((48, 48), 2)])
+def test_pushout_product_rank_cap(tmp_path, ranks, code):
+    # a subprocess with a timeout: without the cap the Z^48 pair runs for minutes
+    paths = [write(tmp_path, f"i{k}.json", _cofibration_from_zero(r)) for k, r in enumerate(ranks)]
+    proc = subprocess.run([sys.executable, "-m", "zchain.cli", "pushout-product", *paths],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    payload = json.loads(proc.stdout)
+    if code:
+        assert payload["error"]["type"] == "RankCapExceeded"
+    else:
+        assert "cofibration" in payload["classification"]["labels"]

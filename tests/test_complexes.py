@@ -13,6 +13,7 @@ from zchain.abelian import (
 )
 from zchain.complexes import (
     ChainMap,
+    block_complex,
     cone,
     cycles_subgroup,
     disk,
@@ -31,6 +32,7 @@ from zchain.complexes import (
     suspend,
     tensor,
     tensor_map,
+    zero_chain_map,
     zero_complex,
 )
 from zchain.errors import NotAChainMap, NotAComplex
@@ -89,6 +91,17 @@ def test_cone_examples():
     c2, _ = cone(sphere(0, Zmod(2)))
     assert c2.diff(1) == identity_hom(Zmod(2))
     assert c2.is_acyclic()
+
+
+def test_block_complex_checks_d_squared():
+    # Z + Z/4 with d = 0 + 2: d o d = 4 vanishes in Z/4
+    c, layouts = block_complex(0, 2, lambda n: [Z, Zmod(4)],
+                               lambda n: {(1, 1): IntMatrix.from_rows([[2]])})
+    assert c.support == (0, 2) and sorted(layouts) == [0, 1, 2]
+    assert c.group(1) == layouts[1].group
+    assert c.diff(2).matrix == IntMatrix.from_rows([[0, 0], [0, 2]])
+    with pytest.raises(NotAComplex):
+        block_complex(0, 2, lambda n: [Z], lambda n: {(0, 0): IntMatrix.from_rows([[1]])})
 
 
 def test_cone_always_acyclic():
@@ -190,6 +203,12 @@ def test_tensor_map_square():
     tm = tensor_map(f, g)
     assert tm.src == tensor(r2, g.src)
     assert not tm.is_zero()
+    # a factor with empty support on either side gives the zero map
+    for h in (zero_chain_map(zero_complex(), r2), zero_chain_map(r2, zero_complex())):
+        tz = tensor_map(h, g)
+        assert tz.src == tensor(h.src, g.src) and tz.dst == tensor(h.dst, g.dst)
+        assert tz.is_zero()
+        assert tz.src.is_zero() != tz.dst.is_zero()
 
 
 def test_adjunction_disk_round_trip():

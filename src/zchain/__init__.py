@@ -33,7 +33,6 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     cokernel,
-    ext1,
     free_group,
     identity_hom,
     is_free,
@@ -42,7 +41,6 @@ from .abelian import (
     mk_group,
     mk_hom,
     tensor_group,
-    tensor_hom,
     trivial_group,
     zero_hom,
 )
@@ -74,16 +72,7 @@ from .modelcls import (
     is_contractible,
     split_free_complex,
 )
-from .groupring import (
-    AugmentationData,
-    I2Group,
-    I2_map,
-    IGroup,
-    I_map,
-    augmentation_data,
-    build_I,
-    build_I2,
-)
+from .groupring import I2Group, I2_map, IGroup, I_map, build_I, build_I2
 from .factor import Factorization, factor_acf_fib, factor_cof_afb, gamma
 from .lifting import (
     Extension,

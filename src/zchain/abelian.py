@@ -3,8 +3,9 @@
 A group is Z^ngens modulo the column lattice of its relation matrix.  Every
 element has a unique canonical coordinate vector (reduce against the HNF row
 basis of the relation lattice), so equality of elements is literal equality
-of canonical forms.  Homomorphisms are matrices on generators, checked at
-construction to carry every source relation into the target lattice.
+of canonical forms.  Homomorphisms are matrices on generators.  ``GroupHom``
+trusts its matrix to carry every source relation into the target lattice;
+``mk_hom``, the entry point for matrices from outside, checks it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .intlinalg import (
     hstack,
     inverse_unimodular,
     kernel_basis,
-    kron,
     lattice_contains,
     reduce_mod_rows,
     row_lattice,
@@ -146,19 +146,14 @@ def trivial_group():
 
 
 class GroupHom:
-    """Matrix on generators, validated to be well defined at construction."""
+    """Matrix on generators, trusted to be well defined (mk_hom checks it)."""
 
     __slots__ = ("src", "dst", "matrix")
 
-    def __init__(self, src, dst, matrix, _checked=False):
+    def __init__(self, src, dst, matrix):
         if matrix.rows != dst.ngens or matrix.cols != src.ngens:
             raise DimensionMismatch(
                 f"hom matrix must be {dst.ngens}x{src.ngens}, got {matrix.rows}x{matrix.cols}")
-        if not _checked:
-            for j in range(src.relations.cols):
-                img = matrix.mul_vec(src.relations.col(j))
-                if not dst.contains_zero(img):
-                    raise IllDefined(f"relation {j} is not carried into the target lattice")
         self.src = src
         self.dst = dst
         self.matrix = matrix
@@ -172,18 +167,18 @@ class GroupHom:
     def __matmul__(self, other):
         if other.dst != self.src:
             raise DimensionMismatch("homs are not composable")
-        return GroupHom(other.src, self.dst, self.matrix @ other.matrix, _checked=True)
+        return GroupHom(other.src, self.dst, self.matrix @ other.matrix)
 
     def __add__(self, other):
         if self.src != other.src or self.dst != other.dst:
             raise DimensionMismatch("hom sum shape mismatch")
-        return GroupHom(self.src, self.dst, self.matrix + other.matrix, _checked=True)
+        return GroupHom(self.src, self.dst, self.matrix + other.matrix)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return GroupHom(self.src, self.dst, -self.matrix, _checked=True)
+        return GroupHom(self.src, self.dst, -self.matrix)
 
     def __eq__(self, other):
         return (
@@ -210,17 +205,27 @@ class GroupHom:
 
 
 def identity_hom(g):
-    return GroupHom(g, g, IntMatrix.identity(g.ngens), _checked=True)
+    return GroupHom(g, g, IntMatrix.identity(g.ngens))
 
 
 def zero_hom(src, dst):
-    return GroupHom(src, dst, IntMatrix.zeros(dst.ngens, src.ngens), _checked=True)
+    return GroupHom(src, dst, IntMatrix.zeros(dst.ngens, src.ngens))
 
 
 def mk_hom(src, dst, matrix):
+    """The hom with this matrix, checked to be well defined (IllDefined)."""
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix.from_rows(matrix, cols=src.ngens)
-    return GroupHom(src, dst, matrix)
+    h = GroupHom(src, dst, matrix)
+    require_well_defined(h)
+    return h
+
+
+def require_well_defined(h):
+    """IllDefined unless h carries every source relation into the target lattice."""
+    for j in range(h.src.relations.cols):
+        if not h.dst.contains_zero(h.matrix.mul_vec(h.src.relations.col(j))):
+            raise IllDefined(f"relation {j} is not carried into the target lattice")
 
 
 def preimage_lattice(matrix, target_rel_rows):
@@ -238,14 +243,14 @@ def kernel(h):
     rels = certify.found(solve(P, h.src.relations), "kernel", None,
                          "source relations must lie in the kernel lattice")
     K = mk_group(P.cols, rels)
-    incl = GroupHom(K, h.src, P, _checked=True)
+    incl = GroupHom(K, h.src, P)
     return K, incl
 
 
 def cokernel(h):
     """Cokernel with its projection hom: target relations plus the image."""
     Q = mk_group(h.dst.ngens, hstack([h.dst.relations, h.matrix]))
-    proj = GroupHom(h.dst, Q, IntMatrix.identity(h.dst.ngens), _checked=True)
+    proj = GroupHom(h.dst, Q, IntMatrix.identity(h.dst.ngens))
     return Q, proj
 
 
@@ -275,7 +280,7 @@ class DirectSum:
         rows = [[0] * part.ngens for _ in range(self.group.ngens)]
         for j in range(part.ngens):
             rows[off + j][j] = 1
-        return GroupHom(part, self.group, IntMatrix(self.group.ngens, part.ngens, rows), _checked=True)
+        return GroupHom(part, self.group, IntMatrix(self.group.ngens, part.ngens, rows))
 
     def projection(self, i):
         part = self.parts[i]
@@ -283,7 +288,7 @@ class DirectSum:
         rows = [[0] * self.group.ngens for _ in range(part.ngens)]
         for j in range(part.ngens):
             rows[j][off + j] = 1
-        return GroupHom(self.group, part, IntMatrix(part.ngens, self.group.ngens, rows), _checked=True)
+        return GroupHom(self.group, part, IntMatrix(part.ngens, self.group.ngens, rows))
 
     def block_matrix(self, source, blocks):
         """Assemble a matrix (self.group <- source.group) from per-part blocks.
@@ -302,16 +307,6 @@ class DirectSum:
                 for j in range(m.cols):
                     row[c0 + j] = m.data[i][j]
         return IntMatrix(self.group.ngens, source.group.ngens, out)
-
-
-def ext1(c, k):
-    """Ext^1(c, k) from the invariant factors of c: additive, Z/n contributes k/nk."""
-    parts = []
-    for n in c.invariant_factors:
-        parts.append(mk_group(k.ngens, hstack([k.relations, IntMatrix.identity(k.ngens).scale(n)])))
-    if not parts:
-        return trivial_group()
-    return DirectSum(parts).group
 
 
 def tensor_group(g, h):
@@ -335,10 +330,6 @@ def tensor_group(g, h):
     return mk_group(gg * hh, IntMatrix.from_cols(cols, rows=gg * hh))
 
 
-def tensor_hom(u, v):
-    return GroupHom(tensor_group(u.src, v.src), tensor_group(u.dst, v.dst),
-                    kron(u.matrix, v.matrix), _checked=True)
-
 
 def preimage(h, targets):
     """Deterministic V with h.matrix @ V equal to targets in h.dst, or None.
@@ -355,7 +346,8 @@ def preimage(h, targets):
 
 
 def factor_through(incl, h):
-    """t with incl o t == h, where the image of h lies in the image of incl."""
+    """t with incl o t == h, where the image of h lies in the image of incl;
+    well defined because incl is injective."""
     m = preimage(incl, h.matrix)
     if m is None:
         raise IllDefined("map does not factor through the inclusion")
@@ -368,5 +360,5 @@ def lift_free_hom(q, g):
     P = preimage(q, g.dst.canon_cols(g.matrix @ B))
     if P is None:
         raise IllDefined("map does not lift through the surjection")
-    return GroupHom(g.src, q.src, P @ C, _checked=True)
+    return GroupHom(g.src, q.src, P @ C)
 

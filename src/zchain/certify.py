@@ -28,11 +28,11 @@ def classified(cls, prop, construction, piece):
           f"{piece} failed its {prop.replace('_', ' ')} certificate", witness=cls.as_dict())
 
 
-def _nonzero_column(m, g):
+def _nonzero_column(m, g, key="generator"):
     """The first column of m that is nonzero in g, as a witness, or None."""
     for j in range(m.cols):
         if not g.contains_zero(m.col(j)):
-            return {"generator": j, "value": list(g.canon(m.col(j)))}
+            return {key: j, "value": list(g.canon(m.col(j)))}
     return None
 
 
@@ -48,6 +48,32 @@ def equal_maps(got, expected, construction, message):
             if witness is not None:
                 break
     check(False, construction, message, degree, witness)
+
+
+def d_squared(c, construction):
+    """d o d = 0 in every degree of c; the witness is a generator of degree n."""
+    if c.support is None:
+        return
+    for n in range(c.support[0] + 2, c.support[1] + 1):
+        bad = _nonzero_column(c.diff(n - 1).matrix @ c.diff(n).matrix, c.group(n - 2))
+        check(bad is None, construction, "d o d is nonzero", n, bad)
+
+
+def chain_map(f, construction):
+    """Every component of f is well defined and every square commutes.
+
+    The witness names the first source relation a component fails to carry
+    into the target lattice, or the first generator on which d f and f d
+    disagree.
+    """
+    degrees = set(f.src.degrees()) | set(f.dst.degrees())
+    for n in sorted(degrees | {d + 1 for d in degrees}):
+        c = f.component(n)
+        bad = _nonzero_column(c.matrix @ c.src.relations, c.dst, key="relation")
+        check(bad is None, construction, "component is not well defined", n, bad)
+        m = f.component(n - 1).matrix @ f.src.diff(n).matrix - f.dst.diff(n).matrix @ c.matrix
+        bad = _nonzero_column(m, f.dst.group(n - 1))
+        check(bad is None, construction, "square does not commute", n, bad)
 
 
 def contraction(a, s):

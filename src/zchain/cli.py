@@ -3,9 +3,11 @@
 JSON documents in, JSON (or text) reports out.  Exit code 0 means success,
 1 means a mathematical failure (a counterexample was found, or a
 construction failed its certificate, and the evidence emitted), 2 means an
-input or validation error.  The ZCHAIN_MAX_RANK environment variable
-(default 64) caps every materialized rank; inputs or constructions that
-would exceed it abort with exit code 2.
+input or validation error, 3 an internal error (a bug): any exception that
+is not a ZchainError, reported on stdout as an InternalError with its class
+name and message, with the traceback on stderr.  The ZCHAIN_MAX_RANK
+environment variable (default 64) caps every materialized rank; inputs or
+constructions that would exceed it abort with exit code 2.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .errors import CertificateFailed, DocumentError, RankCapExceeded, ZchainError
 from .documents import (complex_to_doc, decimal_string, doc_to_complex, doc_to_map,
@@ -332,6 +335,11 @@ def main(argv=None):
         _emit({"error": {"type": type(e).__name__, "message": str(e),
                          **getattr(e, "details", {})}}, args.format)
         return 1 if isinstance(e, CertificateFailed) else 2
+    except Exception as e:  # a bug: its traceback goes to stderr
+        traceback.print_exc()
+        _emit({"error": {"type": "InternalError", "exception": type(e).__name__,
+                         "message": str(e)}}, args.format)
+        return 3
     _emit(payload, args.format)
     return code
 

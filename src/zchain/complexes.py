@@ -2,9 +2,14 @@
 
 A complex stores groups on a contiguous support window and differentials
 d(n): group(n) -> group(n-1); outside the window every group is trivial and
-every map is zero.  d o d = 0 and chain-map commutation are checked at
-construction.  Homology is returned as a presented subquotient together with
-cycle lifts, which is enough to compute induced maps exactly.
+every map is zero.  The ``ChainComplex`` and ``ChainMap`` constructors check
+only shapes and endpoints and trust the rest; ``mk_complex`` and
+``mk_chain_map`` are the checked entry points for objects from outside
+(well-definedness, d o d = 0, commuting squares).  What is built here is
+correct by construction and built unchecked; ``block_complex`` certifies
+d o d = 0 and ``induced_map`` that its cycle solve succeeds.  Homology is
+returned as a presented subquotient together with cycle lifts, which is
+enough to compute induced maps exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .abelian import (
     identity_hom,
     kernel,
     mk_group,
-    mk_hom,
     preimage_lattice,
+    require_well_defined,
     tensor_group,
     trivial_group,
     zero_hom,
@@ -32,11 +37,15 @@ from .intlinalg import IntMatrix, hstack, kron, solve
 
 
 class ChainComplex:
-    """Z-graded groups with differentials, trivial outside a bounded window."""
+    """Z-graded groups with differentials, trivial outside a bounded window.
+
+    Differentials may be GroupHoms or IntMatrix blocks; both are trusted to
+    be well defined with d o d = 0 (mk_complex checks them).
+    """
 
     __slots__ = ("support", "_groups", "_diffs", "_homology")
 
-    def __init__(self, groups, diffs, support=None, validate=True):
+    def __init__(self, groups, diffs, support=None):
         groups = dict(groups)
         if support is None:
             support = (min(groups), max(groups)) if groups else None
@@ -62,15 +71,10 @@ class ChainComplex:
                 if d is None:
                     d = zero_hom(self.group(n), self.group(n - 1))
                 elif isinstance(d, IntMatrix):
-                    d = mk_hom(self.group(n), self.group(n - 1), d)
+                    d = GroupHom(self.group(n), self.group(n - 1), d)
                 if d.src != self.group(n) or d.dst != self.group(n - 1):
                     raise NotAComplex(f"differential at degree {n} has wrong endpoints")
                 self._diffs[n] = d
-        if validate and support:
-            lo, hi = support
-            for n in range(lo + 2, hi + 1):
-                if not (self.diff(n - 1) @ self.diff(n)).is_zero():
-                    raise NotAComplex(f"d o d is nonzero at degree {n}")
 
     def degrees(self):
         if self.support is None:
@@ -126,39 +130,42 @@ class ChainComplex:
 
 
 def mk_complex(support, groups, diffs):
-    """Validated complex; support may be None/empty for the zero complex."""
-    return ChainComplex(dict(groups), dict(diffs), support=support, validate=True)
+    """The complex, checked: every differential is well defined (IllDefined)
+    and d o d = 0 (NotAComplex).  support may be None for the zero complex."""
+    c = ChainComplex(groups, diffs, support)
+    for n in c.degrees():
+        require_well_defined(c.diff(n))
+    for n in c.degrees()[2:]:
+        if not (c.diff(n - 1) @ c.diff(n)).is_zero():
+            raise NotAComplex(f"d o d is nonzero at degree {n}")
+    return c
 
 
 def zero_complex():
-    return ChainComplex({}, {}, support=None)
+    return ChainComplex({}, {})
 
 
 class ChainMap:
-    """Degreewise homs commuting with the differentials.  Immutable, so what
-    is derived from the map alone is memoized on it (see ``memoized_on_map``)."""
+    """Degreewise homs commuting with the differentials.  Components may be
+    GroupHoms or IntMatrix blocks, trusted to be well defined and to commute
+    (mk_chain_map checks them; certify.chain_map certifies solved maps).
+    Immutable, so what is derived from the map alone is memoized on it (see
+    ``memoized_on_map``)."""
 
     __slots__ = ("src", "dst", "_components", "_memo")
 
-    def __init__(self, src, dst, components, validate=True):
+    def __init__(self, src, dst, components):
         self.src = src
         self.dst = dst
         comps = {}
         for n, c in components.items():
             if isinstance(c, IntMatrix):
-                c = mk_hom(src.group(n), dst.group(n), c)
+                c = GroupHom(src.group(n), dst.group(n), c)
             if c.src != src.group(n) or c.dst != dst.group(n):
                 raise NotAChainMap(f"component at degree {n} has wrong endpoints")
             comps[n] = c
         self._components = comps
         self._memo = {}
-        if validate:
-            degrees = set(src.degrees()) | set(dst.degrees())
-            for n in sorted(degrees | {d + 1 for d in degrees}):
-                lhs = self.component(n - 1) @ src.diff(n)
-                rhs = dst.diff(n) @ self.component(n)
-                if not (lhs - rhs).is_zero():
-                    raise NotAChainMap(f"square at degree {n} does not commute")
 
     def component(self, n) -> GroupHom:
         c = self._components.get(n)
@@ -171,23 +178,20 @@ class ChainMap:
             raise DimensionMismatch("chain maps are not composable")
         degrees = set(other.src.degrees()) | set(self.dst.degrees()) | set(self.src.degrees())
         comps = {n: self.component(n) @ other.component(n) for n in degrees}
-        return ChainMap(other.src, self.dst, comps, validate=False)
+        return ChainMap(other.src, self.dst, comps)
 
     def __add__(self, other):
         if self.src != other.src or self.dst != other.dst:
             raise DimensionMismatch("chain map sum shape mismatch")
         degrees = set(self.src.degrees()) | set(self.dst.degrees())
         return ChainMap(self.src, self.dst,
-                        {n: self.component(n) + other.component(n) for n in degrees},
-                        validate=False)
+                        {n: self.component(n) + other.component(n) for n in degrees})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChainMap(self.src, self.dst,
-                        {n: -self.component(n) for n in self._components},
-                        validate=False)
+        return ChainMap(self.src, self.dst, {n: -self.component(n) for n in self._components})
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
@@ -218,26 +222,36 @@ def memoized_on_map(fn):
 
 
 def mk_chain_map(src, dst, components):
-    return ChainMap(src, dst, dict(components), validate=True)
+    """The chain map, checked: every component is well defined (IllDefined)
+    and every square commutes (NotAChainMap)."""
+    f = ChainMap(src, dst, components)
+    for c in f._components.values():
+        require_well_defined(c)
+    degrees = set(src.degrees()) | set(dst.degrees())
+    for n in sorted(degrees | {d + 1 for d in degrees}):
+        lhs = f.component(n - 1) @ src.diff(n)
+        rhs = dst.diff(n) @ f.component(n)
+        if not (lhs - rhs).is_zero():
+            raise NotAChainMap(f"square at degree {n} does not commute")
+    return f
 
 
 def identity_chain_map(a):
-    return ChainMap(a, a, {n: identity_hom(a.group(n)) for n in a.degrees()}, validate=False)
+    return ChainMap(a, a, {n: identity_hom(a.group(n)) for n in a.degrees()})
 
 
 def zero_chain_map(src, dst):
-    return ChainMap(src, dst, {}, validate=False)
+    return ChainMap(src, dst, {})
 
 
 def sphere(n, m):
     """The group m concentrated in degree n."""
-    return ChainComplex({n: m}, {}, support=(n, n), validate=False)
+    return ChainComplex({n: m}, {}, (n, n))
 
 
 def disk(n, m):
     """The group m in degrees n+1 and n with the identity differential between them."""
-    return ChainComplex({n: m, n + 1: m}, {n + 1: identity_hom(m)}, support=(n, n + 1),
-                        validate=False)
+    return ChainComplex({n: m, n + 1: m}, {n + 1: identity_hom(m)}, (n, n + 1))
 
 
 def suspend(a, k):
@@ -250,21 +264,22 @@ def suspend(a, k):
     diffs = {}
     for n in range(lo + 1, hi + 1):
         d = a.diff(n)
-        diffs[n + k] = GroupHom(d.src, d.dst, d.matrix if sign == 1 else -d.matrix, _checked=True)
-    return ChainComplex(groups, diffs, support=(lo + k, hi + k), validate=False)
+        diffs[n + k] = d if sign == 1 else -d
+    return ChainComplex(groups, diffs, (lo + k, hi + k))
 
 
 def block_complex(lo, hi, parts, blocks):
     """The graded direct sum with DirectSum(parts(n)) in degrees lo..hi.
 
     blocks(n) maps (target part, source part) to the blocks of d(n); missing
-    blocks are zero.  d o d = 0 is checked.  Returns the complex and the
+    blocks are zero.  d o d = 0 is certified.  Returns the complex and the
     layouts, one DirectSum per degree of lo..hi.
     """
     layouts = {n: DirectSum(parts(n)) for n in range(lo, hi + 1)}
     diffs = {n: layouts[n - 1].block_matrix(layouts[n], blocks(n)) for n in range(lo + 1, hi + 1)}
-    groups = {n: ds.group for n, ds in layouts.items()}
-    return ChainComplex(groups, diffs, support=(lo, hi), validate=True), layouts
+    c = ChainComplex({n: ds.group for n, ds in layouts.items()}, diffs, (lo, hi))
+    certify.d_squared(c, "block_complex")
+    return c, layouts
 
 
 def cone(a):
@@ -281,7 +296,7 @@ def cone(a):
         lambda n: {(0, 0): a.diff(n).matrix,
                    (0, 1): IntMatrix.identity(a.group(n - 1).ngens),
                    (1, 1): -a.diff(n - 1).matrix})
-    incl = ChainMap(a, c, {n: layouts[n].inclusion(0).matrix for n in a.degrees()}, validate=True)
+    incl = ChainMap(a, c, {n: layouts[n].inclusion(0).matrix for n in a.degrees()})
     return c, incl
 
 
@@ -297,13 +312,6 @@ class HomologyClassData:
     def lift(self, coords):
         """Cycle vector representing the class with the given coordinates."""
         return self.cycle_lift.mul_vec(coords)
-
-    def class_of(self, cycle):
-        """Coordinates of the class of a cycle vector."""
-        x = solve(self.cycle_lift, IntMatrix.from_cols([cycle]))
-        if x is None:
-            raise ValueError("vector is not a cycle")
-        return self.group.canon(x.col(0))
 
 
 def _homology_at(a, n):
@@ -327,10 +335,9 @@ def induced_map(f, n):
     hd = f.dst.homology(n)
     if not hs.group.ngens:  # no classes to carry, so no system to solve
         return zero_hom(hs.group, hd.group)
-    x = solve(hd.cycle_lift, f.component(n).matrix @ hs.cycle_lift)
-    if x is None:
-        raise ValueError("vector is not a cycle")
-    return mk_hom(hs.group, hd.group, hd.group.canon_cols(x))
+    x = certify.found(solve(hd.cycle_lift, f.component(n).matrix @ hs.cycle_lift),
+                      "induced_map", n, "the map must carry cycles to cycles")
+    return GroupHom(hs.group, hd.group, hd.group.canon_cols(x))
 
 
 def is_quasi_iso(f):
@@ -356,9 +363,9 @@ def dsum_complex(parts):
     projs = []
     for i, p in enumerate(parts):
         incls.append(ChainMap(p, total, {n: layouts[n].inclusion(i).matrix for n in p.degrees()
-                                         if lo <= n <= hi}, validate=False))
-        projs.append(ChainMap(total, p, {n: layouts[n].projection(i).matrix for n in range(lo, hi + 1)},
-                              validate=False))
+                                         if lo <= n <= hi}))
+        projs.append(ChainMap(total, p, {n: layouts[n].projection(i).matrix
+                                         for n in range(lo, hi + 1)}))
     return total, incls, projs
 
 
@@ -388,8 +395,8 @@ def kernel_complex(f):
         for n in range(lo + 1, hi + 1):
             target_incl = incls.get(n - 1, zero_hom(trivial_group(), f.src.group(n - 1)))
             diffs[n] = factor_through(target_incl, f.src.diff(n) @ incls[n])
-    kc = ChainComplex(groups, diffs, support=f.src.support, validate=True)
-    incl_map = ChainMap(kc, f.src, {n: incls[n] for n in kc.degrees()}, validate=True)
+    kc = ChainComplex(groups, diffs, f.src.support)
+    incl_map = ChainMap(kc, f.src, {n: incls[n] for n in kc.degrees()})
     return kc, incl_map
 
 
@@ -405,12 +412,9 @@ def cokernel_complex(f):
     if f.dst.support is not None:
         lo, hi = f.dst.support
         for n in range(lo + 1, hi + 1):
-            diffs[n] = mk_hom(groups[n], groups[n - 1], f.dst.diff(n).matrix)
-    cc = ChainComplex(groups, diffs, support=f.dst.support, validate=True)
-    proj = ChainMap(f.dst, cc,
-                    {n: mk_hom(f.dst.group(n), cc.group(n), IntMatrix.identity(f.dst.group(n).ngens))
-                     for n in cc.degrees()},
-                    validate=True)
+            diffs[n] = f.dst.diff(n).matrix
+    cc = ChainComplex(groups, diffs, f.dst.support)
+    proj = ChainMap(f.dst, cc, {n: IntMatrix.identity(f.dst.group(n).ngens) for n in cc.degrees()})
     return cc, proj
 
 
@@ -465,31 +469,12 @@ def tensor_map(f, g):
             if ti is not None:
                 blocks[(ti, si)] = kron(f.component(p).matrix, g.component(q).matrix)
         comps[n] = dst_layouts[n].block_matrix(src_layouts[n], blocks)
-    return ChainMap(src, dst, comps, validate=True)
-
-
-def map_to_disk(a, n, u):
-    """Chain map a -> disk(n, m) from a hom u: a_n -> m."""
-    comps = {n: u, n + 1: u @ a.diff(n + 1)}
-    return ChainMap(a, disk(n, u.dst), comps, validate=True)
+    return ChainMap(src, dst, comps)
 
 
 def map_from_disk(a, n, v):
     """Chain map disk(n, m) -> a from a hom v: m -> a_{n+1}."""
-    comps = {n + 1: v, n: a.diff(n + 1) @ v}
-    return ChainMap(disk(n, v.src), a, comps, validate=True)
-
-
-def map_to_sphere(a, n, u):
-    """Chain map a -> sphere(n, m) from a hom u on a_n vanishing on boundaries."""
-    return ChainMap(a, sphere(n, u.dst), {n: u}, validate=True)
-
-
-def map_from_sphere(a, n, v_into_cycles, cycles_incl):
-    """Chain map sphere(n, m) -> a from a hom m -> cycles composed with the
-    inclusion of the cycle subgroup."""
-    return ChainMap(sphere(n, v_into_cycles.src), a, {n: cycles_incl @ v_into_cycles},
-                    validate=True)
+    return ChainMap(disk(n, v.src), a, {n + 1: v, n: a.diff(n + 1) @ v})
 
 
 def cycles_subgroup(a, n):

@@ -19,26 +19,8 @@ from dataclasses import dataclass
 
 from . import certify
 from .errors import InfiniteGroup, RankCapExceeded
-from .abelian import (
-    FgAbGroup,
-    GroupHom,
-    free_group,
-    mk_hom,
-    preimage_lattice,
-    is_isomorphic,
-    mk_group,
-)
+from .abelian import FgAbGroup, GroupHom, free_group, is_isomorphic, mk_group, preimage_lattice
 from .intlinalg import IntMatrix, solve
-
-
-@dataclass
-class AugmentationData:
-    """Z[A] with its augmentation and evaluation maps."""
-
-    base: FgAbGroup
-    elements: tuple                   # canonical coordinates, lex order, zero first
-    epsilon: GroupHom                 # Z[A] -> Z, every basis element to 1
-    theta: GroupHom                   # Z[A] -> A, [a] -> a
 
 
 @dataclass
@@ -78,15 +60,6 @@ def _require_finite(a, max_rank=None):
             f"materialized rank {a.order() - 1} exceeds the cap {max_rank}")
 
 
-def augmentation_data(a, max_rank=None):
-    _require_finite(a, max_rank)
-    elements = tuple(a.elements())
-    za = free_group(len(elements))
-    eps = mk_hom(za, free_group(1), IntMatrix(1, len(elements), [[1] * len(elements)]))
-    theta = mk_hom(za, a, IntMatrix.from_cols([list(e) for e in elements], rows=a.ngens))
-    return AugmentationData(a, elements, eps, theta)
-
-
 def build_I(a, max_rank=None):
     """I(A) with basis {[a]-[0]} over the nonzero elements in lex order."""
     _require_finite(a, max_rank)
@@ -95,7 +68,7 @@ def build_I(a, max_rank=None):
     certify.check(zero == a.zero(), "build_I", "the first element is not zero")
     nonzero = tuple(e for e in elements if e != zero)
     free = free_group(len(nonzero))
-    theta = mk_hom(free, a, IntMatrix.from_cols([list(e) for e in nonzero], rows=a.ngens))
+    theta = GroupHom(free, a, IntMatrix.from_cols([list(e) for e in nonzero], rows=a.ngens))
     incl_cols = []
     pos = {e: i for i, e in enumerate(elements)}
     for e in nonzero:
@@ -141,7 +114,7 @@ def I_map(f, i_src=None, i_dst=None, max_rank=None):
             col[i_dst.index[img]] = 1
         cols.append(col)
     m = IntMatrix.from_cols(cols, rows=i_dst.rank)
-    return mk_hom(i_src.free, i_dst.free, m)
+    return GroupHom(i_src.free, i_dst.free, m)
 
 
 def I2_map(f, i2_src=None, i2_dst=None, i_src=None, i_dst=None, max_rank=None):
@@ -157,4 +130,4 @@ def I2_map(f, i2_src=None, i2_dst=None, i_src=None, i_dst=None, max_rank=None):
     im = I_map(f, i_src, i_dst)
     m = certify.found(solve(i2_dst.inclusion_matrix, im.matrix @ i2_src.inclusion_matrix),
                       "I2_map", None, "I(f) must carry I^2 into I^2")
-    return mk_hom(i2_src.free, i2_dst.free, m)
+    return GroupHom(i2_src.free, i2_dst.free, m)

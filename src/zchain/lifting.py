@@ -40,7 +40,7 @@ from .errors import (
     NotMonoNotEpi,
     PreconditionFailed,
 )
-from .abelian import DirectSum, GroupHom, factor_through, lift_free_hom, mk_hom, preimage
+from .abelian import DirectSum, GroupHom, factor_through, lift_free_hom, preimage
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -154,15 +154,17 @@ def lift_against_acyclic_fibration(g: ChainMap, q: ChainMap) -> ChainMap:
     defect_comps = {}
     for n in set(a.window(1)):
         defect = q.src.diff(n).matrix @ hp(n) - hp(n - 1) @ a.diff(n).matrix
-        defect_hom = mk_hom(a.group(n), q.src.group(n - 1), defect)
+        defect_hom = GroupHom(a.group(n), q.src.group(n - 1), defect)
         defect_comps[n] = factor_through(incl.component(n - 1), defect_hom).matrix
-    kdef = ChainMap(a, sk, defect_comps, validate=True)
+    kdef = ChainMap(a, sk, defect_comps)
+    certify.chain_map(kdef, "lift_against_acyclic_fibration")
     r = nullhomotopy(kdef)
     comps = {}
     for n in a.degrees():
         # r lands in (suspended kernel)_{n+1} = K_n; push into the total space
         comps[n] = hp(n) + incl.component(n).matrix @ r.component(n)
-    h = ChainMap(a, q.src, comps, validate=True)
+    h = ChainMap(a, q.src, comps)
+    certify.chain_map(h, "lift_against_acyclic_fibration")
     certify.equal_maps(q @ h, g, "lift_against_acyclic_fibration",
                        "constructed lift does not cover the map")
     return h
@@ -201,7 +203,8 @@ def section_over_contractible(r: ChainMap) -> ChainMap:
             comps[n] = s_on_y + s_on_z
         else:
             comps[n] = s_on_y
-    s = ChainMap(c, r.src, comps, validate=True)
+    s = ChainMap(c, r.src, comps)
+    certify.chain_map(s, "section_over_contractible")
     certify.equal_maps(r @ s, identity_chain_map(c), "section_over_contractible",
                        "section identity failed")
     return s
@@ -241,11 +244,9 @@ def build_T(problem: LiftProblem) -> Extension:
     t, p_t = cokernel_complex(itilde)
     ktilde = pb.induce(j_k, zero_chain_map(kq, i.dst))
     k_map = p_t @ ktilde
-    r_comps = {}
-    for n in t.degrees():
-        r_comps[n] = mk_hom(t.group(n), c.group(n),
-                            (p_c @ pb.to_second).component(n).matrix)
-    r_map = ChainMap(t, c, r_comps, validate=True)
+    to_c = p_c @ pb.to_second
+    r_map = ChainMap(t, c, {n: to_c.component(n).matrix for n in t.degrees()})
+    certify.chain_map(r_map, "build_T")
     ext = Extension(
         K=kq, T=t, C=c, k=k_map, r=r_map,
         Z=pb.complex, gtilde=pb.to_first, qtilde=pb.to_second,
@@ -268,13 +269,14 @@ def lift_from_splitting(ext: Extension, n_map: ChainMap) -> ChainMap:
         # (qtilde, ptilde): Z -> B + T
         pair = GroupHom(ext.Z.group(deg), DirectSum([b.group(deg), ext.T.group(deg)]).group,
                         vstack([ext.qtilde.component(deg).matrix,
-                                ext.ptilde.component(deg).matrix]), _checked=True)
+                                ext.ptilde.component(deg).matrix]))
         target_t = n_map.component(deg).matrix @ ext.pC.component(deg).matrix
         # column j: an element of Z over the generator e_j of B and over n(pC(e_j)) in T
         rhs = vstack([IntMatrix.identity(b.group(deg).ngens), target_t])
         ntilde_comps[deg] = certify.found(preimage(pair, rhs), "lift_from_splitting", deg,
                                           "pullback lift must exist for a splitting")
-    ntilde = ChainMap(b, ext.Z, ntilde_comps, validate=True)
+    ntilde = ChainMap(b, ext.Z, ntilde_comps)
+    certify.chain_map(ntilde, "lift_from_splitting")
     h = ext.gtilde @ ntilde
     for got, expected in ((problem.q @ h, problem.g), (h @ problem.i, problem.f)):
         certify.equal_maps(got, expected, "lift_from_splitting",
@@ -294,13 +296,13 @@ def splitting_from_lift(ext: Extension, h: ChainMap) -> ChainMap:
         # ambient order in Z's container is (L, B)
         pair = vstack([h.component(n).matrix,
                        IntMatrix.identity(b.group(n).ngens)])
-        pair_hom = mk_hom(b.group(n), ext.z_incl.dst.group(n), pair)
+        pair_hom = GroupHom(b.group(n), ext.z_incl.dst.group(n), pair)
         sigma_comps[n] = factor_through(ext.z_incl.component(n), pair_hom).matrix
-    sigma = ChainMap(b, ext.Z, sigma_comps, validate=True)
-    n_comps = {}
-    for n in ext.C.degrees():
-        n_comps[n] = (ext.ptilde @ sigma).component(n).matrix
-    n_map = ChainMap(ext.C, ext.T, n_comps, validate=True)
+    sigma = ChainMap(b, ext.Z, sigma_comps)
+    certify.chain_map(sigma, "splitting_from_lift")
+    to_t = ext.ptilde @ sigma
+    n_map = ChainMap(ext.C, ext.T, {n: to_t.component(n).matrix for n in ext.C.degrees()})
+    certify.chain_map(n_map, "splitting_from_lift")
     certify.equal_maps(ext.r @ n_map, identity_chain_map(ext.C), "splitting_from_lift",
                        "induced map does not split the extension")
     return n_map
@@ -349,6 +351,6 @@ def rlp_instance(q: ChainMap, gen: str, n: int, a=None, bprime=None):
         raise PreconditionFailed("square does not commute: d b' differs from q a")
     # (d, q): A_{n+1} -> A_n + B_{n+1}
     pair = GroupHom(src.group(n + 1), DirectSum([src.group(n), dst.group(n + 1)]).group,
-                    vstack([src.diff(n + 1).matrix, q.component(n + 1).matrix]), _checked=True)
+                    vstack([src.diff(n + 1).matrix, q.component(n + 1).matrix]))
     x = preimage(pair, IntMatrix.from_cols([a + bprime]))
     return None if x is None else x.col(0)

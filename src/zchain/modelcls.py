@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import certify
 from .errors import NotFree
-from .abelian import FgAbGroup, GroupHom, free_group, is_free, mk_hom
+from .abelian import FgAbGroup, GroupHom, free_group, is_free
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -144,13 +144,6 @@ class FreeSplitting:
         d = self.degrees.get(n)
         return free_group(d.z_cols.cols if d else 0)
 
-    def dprime_hom(self, n) -> GroupHom:
-        h = self.dprime.get(n)
-        if h is None:
-            y, z = self.y_group(n), self.z_group(n - 1)
-            return mk_hom(y, z, IntMatrix.zeros(z.ngens, y.ngens))
-        return h
-
 
 def split_free_complex(a: ChainComplex) -> FreeSplitting:
     """Deterministic splitting of a degreewise-free complex.
@@ -204,7 +197,7 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
         # d'(y_i) expressed in the Z basis one degree down
         m = certify.found(solve(prev.z_cols, dfree[n] @ sd.y_cols), "split_free_complex", n,
                           "image of d must consist of cycles")
-        split.dprime[n] = mk_hom(split.y_group(n), split.z_group(n - 1), m)
+        split.dprime[n] = GroupHom(split.y_group(n), split.z_group(n - 1), m)
     return split
 
 

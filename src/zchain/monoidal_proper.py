@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import certify
 from .errors import NotCofibration, PreconditionFailed
-from .abelian import factor_through, mk_hom
+from .abelian import GroupHom, factor_through
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -47,11 +47,11 @@ class PushoutData:
         i, f = self.span
         if (u @ i) != (v @ f):
             raise PreconditionFailed("cocone does not commute over the span")
-        comps = {}
-        for n in self.complex.degrees():
-            m = hstack([u.component(n).matrix, v.component(n).matrix])
-            comps[n] = mk_hom(self.complex.group(n), u.dst.group(n), m)
-        return ChainMap(self.complex, u.dst, comps, validate=True)
+        comps = {n: hstack([u.component(n).matrix, v.component(n).matrix])
+                 for n in self.complex.degrees()}
+        out = ChainMap(self.complex, u.dst, comps)
+        certify.chain_map(out, "PushoutData.induce")
+        return out
 
 
 def pushout(i: ChainMap, f: ChainMap) -> PushoutData:
@@ -88,13 +88,12 @@ class PullbackData:
             raise PreconditionFailed("cone does not commute over the cospan")
         comps = {}
         for n in u.src.degrees():
-            pair = mk_hom(
-                u.src.group(n),
-                self.incl.dst.group(n),
-                vstack([u.component(n).matrix, v.component(n).matrix]),
-            )
+            pair = GroupHom(u.src.group(n), self.incl.dst.group(n),
+                            vstack([u.component(n).matrix, v.component(n).matrix]))
             comps[n] = factor_through(self.incl.component(n), pair)
-        return ChainMap(u.src, self.complex, comps, validate=True)
+        out = ChainMap(u.src, self.complex, comps)
+        certify.chain_map(out, "PullbackData.induce")
+        return out
 
 
 def pullback(first: ChainMap, second: ChainMap) -> PullbackData:
@@ -147,10 +146,8 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
     uv = tensor(u, v)
     pq = tensor_map(pu, pv)
     ck, proj_ck = cokernel_complex(k)
-    m_comps = {}
-    for n in ck.degrees():
-        m_comps[n] = mk_hom(ck.group(n), uv.group(n), pq.component(n).matrix)
-    m = ChainMap(ck, uv, m_comps, validate=True)
+    m = ChainMap(ck, uv, {n: pq.component(n).matrix for n in ck.degrees()})
+    certify.chain_map(m, "pushout_product")
     cls_k = classify(k)
     certify.classified(cls_k, "cofibration", "pushout_product", "pushout product")
     for n in sorted(set(ck.degrees()) | set(uv.degrees())):
@@ -202,11 +199,9 @@ def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:
         j_new = po.from_second
         coker_i, _ = cokernel_complex(one)
         coker_j, _ = cokernel_complex(j_new)
-        h_comps = {}
-        for n in coker_i.degrees():
-            h_comps[n] = mk_hom(coker_i.group(n), coker_j.group(n),
-                                (po.from_first.component(n)).matrix)
-        h = ChainMap(coker_i, coker_j, h_comps, validate=True)
+        h = ChainMap(coker_i, coker_j,
+                     {n: po.from_first.component(n).matrix for n in coker_i.degrees()})
+        certify.chain_map(h, "check_proper")
         ladder = _homology_ladder(h, "cokernel_map_iso")
         certify.ladder(ladder, "cokernel_map_iso", "check_proper",
                        "cokernel comparison of the pushout is not an isomorphism")
@@ -227,7 +222,8 @@ def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:
         to_l = pb.to_first @ ker_incl
         comp_comps = {n: factor_through(ker_q_incl.component(n), to_l.component(n))
                       for n in ker_new.degrees()}
-        comp = ChainMap(ker_new, ker_q, comp_comps, validate=True)
+        comp = ChainMap(ker_new, ker_q, comp_comps)
+        certify.chain_map(comp, "check_proper")
         ladder = _homology_ladder(comp, "kernel_map_iso")
         certify.ladder(ladder, "kernel_map_iso", "check_proper",
                        "kernel comparison of the pullback is not an isomorphism")

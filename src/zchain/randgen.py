@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from .abelian import kernel, mk_group, mk_hom, free_group
 from .complexes import (
     ChainComplex,
-    ChainMap,
     cycles_subgroup,
     disk,
     dsum_complex,
     map_from_disk,
+    mk_chain_map,
     mk_complex,
     sphere,
     zero_chain_map,
@@ -228,7 +228,7 @@ def random_map_out(rng, ps, target, max_order=8):
             if zc.ngens == 0:
                 continue
             u = random_hom(rng, m, zc)
-            piece_map = ChainMap(ps.projs[k].dst, target, {n: incl @ u}, validate=True)
+            piece_map = mk_chain_map(ps.projs[k].dst, target, {n: incl @ u})
         elif kind == "disk":
             if target.group(n + 1).ngens == 0:
                 continue
@@ -288,7 +288,7 @@ def random_finite_chain_map(rng, max_order=8, lo=-3, hi=3, max_pieces=3,
             dst_descr.append(("opaque", None, None))
         srcs.append(src)
         dsts.append(dst)
-        blocks.append(ChainMap(src, dst, comps, validate=True))
+        blocks.append(mk_chain_map(src, dst, comps))
     a, a_incls, a_projs = dsum_complex(srcs)
     b, b_incls, b_projs = dsum_complex(dsts)
     f = zero_chain_map(a, b)
@@ -342,7 +342,7 @@ def random_free_cofibration(rng, acyclic=False, max_rank=2):
     tcomps = {}
     for n in a.degrees():
         tcomps[n] = u.diff(n + 1).matrix @ hmat(n) + hmat(n - 1) @ a.diff(n).matrix
-    t = ChainMap(a, u, tcomps, validate=True)
+    t = mk_chain_map(a, u, tcomps)
     i = incls[0] + (incls[1] @ t)
     return i
 

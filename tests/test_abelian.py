@@ -5,7 +5,6 @@ import pytest
 from zchain.abelian import (
     DirectSum,
     cokernel,
-    ext1,
     factor_through,
     free_group,
     identity_hom,
@@ -17,12 +16,13 @@ from zchain.abelian import (
     mk_hom,
     preimage,
     tensor_group,
-    tensor_hom,
     trivial_group,
     zero_hom,
 )
 from zchain.errors import IllDefined, InfiniteGroup, NotFree
 from zchain.intlinalg import IntMatrix, lattice_contains, solve
+
+from helpers import ext1, tensor_hom
 
 
 def Zmod(n):

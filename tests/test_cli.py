@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import zchain.complexes
 from zchain.cli import main
 from zchain.documents import (
     complex_to_doc,
@@ -152,6 +153,37 @@ def test_certificate_failure_exit_1(capsys, tmp_path, monkeypatch):
         assert error["construction"] == construction
         assert error["degree"] == degree
     assert error["witness"] is None
+
+
+def test_induced_map_certificate_exit_1(capsys, tmp_path, monkeypatch):
+    # H_0 of Z --2--> Z: the one class has no image cycle when every solve
+    # made by induced_map comes back empty
+    path = write(tmp_path, "x2.json", x2_map_doc())
+    solve = zchain.complexes.solve
+
+    def no_solution_in_induced_map(m, targets):
+        return None if sys._getframe(1).f_code.co_name == "induced_map" else solve(m, targets)
+
+    monkeypatch.setattr("zchain.complexes.solve", no_solution_in_induced_map)
+    code, out = run_cli(capsys, ["classify", path])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CertificateFailed"
+    assert error["construction"] == "induced_map"
+    assert error["degree"] == 0
+
+
+def test_internal_error_exit_3(capsys, tmp_path, monkeypatch):
+    def broken(args, cap):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr("zchain.cli._cmd_homology", broken)
+    assert main(["homology", write(tmp_path, "s2.json", s2_doc())]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": {"type": "InternalError",
+                                                  "exception": "RuntimeError",
+                                                  "message": "something broke"}}
+    assert captured.err.rstrip().endswith("RuntimeError: something broke")
 
 
 def test_factorize_infinite_groups_exit_2(capsys, tmp_path):

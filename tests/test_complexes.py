@@ -24,8 +24,6 @@ from zchain.complexes import (
     kernel_complex,
     cokernel_complex,
     map_from_disk,
-    map_to_disk,
-    map_to_sphere,
     mk_chain_map,
     mk_complex,
     sphere,
@@ -35,10 +33,18 @@ from zchain.complexes import (
     zero_chain_map,
     zero_complex,
 )
-from zchain.errors import NotAChainMap, NotAComplex
+from zchain.errors import CertificateFailed, NotAChainMap, NotAComplex
 from zchain.intlinalg import IntMatrix
 
-from helpers import Zmod, r2_complex, random_hom
+from helpers import (
+    Zmod,
+    class_of,
+    map_from_sphere,
+    map_to_disk,
+    map_to_sphere,
+    r2_complex,
+    random_hom,
+)
 
 
 Z = free_group(1)
@@ -100,8 +106,10 @@ def test_block_complex_checks_d_squared():
     assert c.support == (0, 2) and sorted(layouts) == [0, 1, 2]
     assert c.group(1) == layouts[1].group
     assert c.diff(2).matrix == IntMatrix.from_rows([[0, 0], [0, 2]])
-    with pytest.raises(NotAComplex):
+    with pytest.raises(CertificateFailed) as e:
         block_complex(0, 2, lambda n: [Z], lambda n: {(0, 0): IntMatrix.from_rows([[1]])})
+    assert e.value.details == {"construction": "block_complex", "degree": 2,
+                               "witness": {"generator": 0, "value": [1]}}
 
 
 def test_cone_always_acyclic():
@@ -135,7 +143,7 @@ def test_homology_cycle_lifts():
     # class_of inverts lift
     for coords in [(0,), (1,)]:
         c = h.group.canon(coords)
-        assert h.class_of(h.lift(c)) == c
+        assert class_of(h, h.lift(c)) == c
 
 
 def test_induced_map_examples():
@@ -245,8 +253,6 @@ def test_adjunction_from_sphere():
     rng = random.Random("adjoint-sphere-out")
     r2 = r2_complex()
     zc, incl = cycles_subgroup(r2, 0)
-    from zchain.complexes import map_from_sphere
-
     for _ in range(8):
         m = Zmod(rng.choice([2, 3, 4]))
         v = random_hom(rng, m, zc)

@@ -4,7 +4,6 @@ import pytest
 
 from zchain.abelian import DirectSum, free_group, is_isomorphic, mk_group, mk_hom
 from zchain.complexes import (
-    ChainMap,
     identity_chain_map,
     induced_map,
     kernel_complex,
@@ -188,7 +187,6 @@ def test_filtration_of_projection_kernel():
     # kernel K of the projection; Z, Y/Z and K/Y are all acyclic, hence K is
     rng = random.Random("filtration")
     from zchain.abelian import factor_through
-    from zchain.complexes import ChainMap
 
     for _ in range(6):
         f = random_finite_chain_map(rng, max_pieces=2)
@@ -204,12 +202,12 @@ def test_filtration_of_projection_kernel():
         k_cx, k_in_x = kernel_complex(fact.right)
         assert k_cx.is_acyclic()
         # factor the inclusions through each other and take quotients
-        z_in_y = ChainMap(z_cx, y_cx, {
+        z_in_y = mk_chain_map(z_cx, y_cx, {
             n: factor_through(y_in_x.component(n), z_in_x.component(n))
-            for n in z_cx.degrees()}, validate=True)
-        y_in_k = ChainMap(y_cx, k_cx, {
+            for n in z_cx.degrees()})
+        y_in_k = mk_chain_map(y_cx, k_cx, {
             n: factor_through(k_in_x.component(n), y_in_x.component(n))
-            for n in y_cx.degrees()}, validate=True)
+            for n in y_cx.degrees()})
         y_mod_z, _ = cokernel_complex(z_in_y)
         k_mod_y, _ = cokernel_complex(y_in_k)
         assert y_mod_z.is_acyclic()
@@ -231,8 +229,6 @@ def _i_square_data(f, x):
 
 def _z_subcomplex(x, b, data):
     """Both I^2(B) strands: degree n holds I^2(B_n) + I^2(B_{n-1})."""
-    from zchain.complexes import ChainComplex, ChainMap
-
     i2b = data["i2b"]
     lo, hi = x.support
     layouts = {n: DirectSum([i2b[n].free, i2b[n - 1].free])
@@ -250,9 +246,9 @@ def _z_subcomplex(x, b, data):
             (0, 1): IntMatrix.identity(i2b[n - 1].rank),
             (1, 1): -i2db(n - 1),
         })
-    z_cx = ChainComplex(groups, diffs, support=(lo, hi), validate=True)
+    z_cx = mk_complex((lo, hi), groups, diffs)
     incl = {n: _z_inclusion_matrix(x, b, data, n) for n in z_cx.degrees()}
-    z_in_x = ChainMap(z_cx, x, incl, validate=True)
+    z_in_x = mk_chain_map(z_cx, x, incl)
     return z_cx, z_in_x
 
 
@@ -275,8 +271,6 @@ def _z_inclusion_matrix(x, b, data, n):
 
 def _y_subcomplex(x, a, b, f, data):
     """Z plus both I^2(A) strands: I^2(A_{n-1}) + I^2(A_{n-2}) + Z_n."""
-    from zchain.complexes import ChainComplex, ChainMap
-
     ia, i2a = data["ia"], data["i2a"]
     ib, i2b = data["ib"], data["i2b"]
     lo, hi = x.support
@@ -310,11 +304,11 @@ def _y_subcomplex(x, a, b, f, data):
             (2, 3): IntMatrix.identity(i2b[n - 1].rank),
             (3, 3): -i2db(n - 1),
         })
-    y_cx = ChainComplex(groups, diffs, support=(lo, hi), validate=True)
+    y_cx = mk_complex((lo, hi), groups, diffs)
     incl = {}
     for n in y_cx.degrees():
         incl[n] = _y_inclusion_matrix(x, a, b, data, n)
-    y_in_x = ChainMap(y_cx, x, incl, validate=True)
+    y_in_x = mk_chain_map(y_cx, x, incl)
     return y_cx, y_in_x
 
 
@@ -378,8 +372,6 @@ def test_functorial_on_squares():
 
 
 def _w_naturality_map(f, fprime, a_vert, b_vert, fact, fact2):
-    from zchain.complexes import ChainMap
-
     comps = {}
     for n in set(fact.middle.degrees()) | set(fact2.middle.degrees()):
         src_parts = fact.summands.get(n)
@@ -394,12 +386,10 @@ def _w_naturality_map(f, fprime, a_vert, b_vert, fact, fact2):
             (2, 2): I_map(b_vert.component(n + 1), ia_n1, ia2_n1).matrix,
         }
         comps[n] = _assemble(fact.middle, fact2.middle, f, fprime, n, blocks, kind="w")
-    return ChainMap(fact.middle, fact2.middle, comps, validate=True)
+    return mk_chain_map(fact.middle, fact2.middle, comps)
 
 
 def _x_naturality_map(f, fprime, a_vert, b_vert, xf, xf2):
-    from zchain.complexes import ChainMap
-
     comps = {}
     for n in set(xf.middle.degrees()) | set(xf2.middle.degrees()):
         ia = {m: build_I(f.src.group(m)) for m in (n - 1, n - 2)}
@@ -420,7 +410,7 @@ def _x_naturality_map(f, fprime, a_vert, b_vert, xf, xf2):
                            build_I(fprime.dst.group(n - 1))).matrix,
         }
         comps[n] = _assemble(xf.middle, xf2.middle, f, fprime, n, blocks, kind="x")
-    return ChainMap(xf.middle, xf2.middle, comps, validate=True)
+    return mk_chain_map(xf.middle, xf2.middle, comps)
 
 
 def _assemble(src_c, dst_c, f, fprime, n, blocks, kind):

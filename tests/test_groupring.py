@@ -4,10 +4,10 @@ import pytest
 
 from zchain.abelian import free_group, identity_hom, is_isomorphic, mk_group, mk_hom, zero_hom
 from zchain.errors import InfiniteGroup, RankCapExceeded
-from zchain.groupring import I2_map, I_map, augmentation_data, build_I, build_I2
+from zchain.groupring import I2_map, I_map, build_I, build_I2
 from zchain.intlinalg import IntMatrix, lattice_contains, row_lattice
 
-from helpers import Zmod, random_hom
+from helpers import Zmod, augmentation_data, random_hom
 
 
 def test_build_I_examples():

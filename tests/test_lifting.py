@@ -4,7 +4,6 @@ import pytest
 
 from zchain.abelian import free_group, mk_hom
 from zchain.complexes import (
-    ChainMap,
     dsum_complex,
     identity_chain_map,
     mk_chain_map,
@@ -203,7 +202,7 @@ def lift_against_acyclic_fibration_or_zero(q):
         [[1 if i == j else 0 for i in range(total.group(n).ngens)]
          for j in range(s2.group(n).ngens)],
         rows=total.group(n).ngens) for n in s2.degrees()}
-    return ChainMap(s2, total, comps, validate=True)
+    return mk_chain_map(s2, total, comps)
 
 
 def test_solve_lift_random_squares():

@@ -123,7 +123,7 @@ def test_split_free_complex_examples():
     d = disk(0, Z)
     sp = split_free_complex(d)
     assert sp.y_group(1).ngens == 1 and sp.z_group(0).ngens == 1
-    assert sp.dprime_hom(1).matrix == IntMatrix.identity(1)
+    assert sp.dprime[1].matrix == IntMatrix.identity(1)
 
     s = sphere(0, Z)
     sp = split_free_complex(s)

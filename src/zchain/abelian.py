@@ -23,8 +23,10 @@ from .intlinalg import (
     inverse_unimodular,
     kernel_basis,
     lattice_contains,
+    reduce_cols_mod_rows,
     reduce_mod_rows,
     row_lattice,
+    row_pivots,
     snf,
     solve,
 )
@@ -33,19 +35,20 @@ from .intlinalg import (
 class FgAbGroup:
     """Presentation Z^ngens / columnspan(relations), with cached normal forms."""
 
-    __slots__ = ("ngens", "relations", "rel_rows", "invariant_factors", "free_rank",
-                 "_rel_snf", "_free_basis", "_hash")
+    __slots__ = ("ngens", "relations", "rel_rows", "rel_pivots", "invariant_factors",
+                 "free_rank", "_free_basis", "_hash")
 
     def __init__(self, ngens, relations):
         if relations.rows != ngens:
             raise DimensionMismatch(f"relations need {ngens} rows, got {relations.rows}")
         self.ngens = ngens
         self.relations = relations
-        self._rel_snf = snf(relations)
-        diag = [d for d in self._rel_snf.diagonal if d]
+        res = snf(relations)
+        diag = [d for d in res.diagonal if d]
         self.invariant_factors = tuple(d for d in diag if d > 1)
-        self.free_rank = ngens - self._rel_snf.rank
+        self.free_rank = ngens - res.rank
         self.rel_rows = column_lattice(relations)
+        self.rel_pivots = row_pivots(self.rel_rows)
         self._free_basis = None
         self._hash = None
 
@@ -72,14 +75,24 @@ class FgAbGroup:
         """Canonical coordinates of the element with generator coordinates v."""
         if len(v) != self.ngens:
             raise DimensionMismatch("element length mismatch")
-        return reduce_mod_rows(v, self.rel_rows)
+        return reduce_mod_rows(v, self.rel_rows, self.rel_pivots)
 
     def canon_cols(self, m):
         """m with every column replaced by its canonical coordinates."""
-        return IntMatrix.from_cols([self.canon(v) for v in m.columns()], rows=self.ngens)
+        if m.rows != self.ngens:
+            raise DimensionMismatch("element length mismatch")
+        return reduce_cols_mod_rows(m, self.rel_rows, self.rel_pivots)
+
+    def first_nonzero(self, m):
+        """(j, canonical coordinates) of the first column of m that is nonzero
+        in the group, or None when every column is zero."""
+        c = self.canon_cols(m)
+        if any(map(any, c.data)):
+            return next((j, v) for j, v in enumerate(c.columns()) if any(v))
+        return None
 
     def contains_zero(self, v):
-        return lattice_contains(v, self.rel_rows)
+        return lattice_contains(v, self.rel_rows, self.rel_pivots)
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.invariant_factors
@@ -121,7 +134,7 @@ class FgAbGroup:
         if self.invariant_factors:
             raise NotFree(f"{self!r} has torsion")
         if self._free_basis is None:
-            res = self._rel_snf
+            res = snf(self.relations)
             idx = list(range(res.rank, self.ngens))
             Uinv = inverse_unimodular(res.U)
             B = Uinv.take_cols(idx)
@@ -192,7 +205,7 @@ class GroupHom:
         return hash((self.src, self.dst))
 
     def is_zero(self):
-        return all(self.dst.contains_zero(self.matrix.col(j)) for j in range(self.matrix.cols))
+        return self.dst.first_nonzero(self.matrix) is None
 
     def is_injective(self):
         return kernel(self)[0].is_trivial()
@@ -221,20 +234,20 @@ def mk_hom(src, dst, matrix):
     return h
 
 
-def require_well_defined(h):
-    """IllDefined unless h carries every source relation into the target lattice."""
-    for j in range(h.src.relations.cols):
-        if not h.dst.contains_zero(h.matrix.mul_vec(h.src.relations.col(j))):
-            raise IllDefined(f"relation {j} is not carried into the target lattice")
+def require_well_defined(h, degree=None):
+    """IllDefined unless h carries every source relation into the target
+    lattice; degree is the one the error names."""
+    bad = h.dst.first_nonzero(h.matrix @ h.src.relations)
+    if bad is not None:
+        raise IllDefined(f"relation {bad[0]} is not carried into the target lattice", degree)
 
 
 def preimage_lattice(matrix, target_rel_rows):
     """Canonical column basis of {v : matrix @ v lies in the given lattice}."""
     aug = hstack([matrix, IntMatrix.from_cols(target_rel_rows, rows=matrix.rows)])
     K = kernel_basis(aug)
-    vecs = [K.col(j)[: matrix.cols] for j in range(K.cols)]
-    rows = row_lattice(vecs, matrix.cols)
-    return IntMatrix.from_cols([list(r) for r in rows], rows=matrix.cols)
+    rows = row_lattice([v[: matrix.cols] for v in K.columns()], matrix.cols)
+    return IntMatrix.from_cols(rows, rows=matrix.cols)
 
 
 def kernel(h):
@@ -313,16 +326,15 @@ def tensor_group(g, h):
     """Tensor product presented on generator pairs (i, j) -> i * h.ngens + j."""
     gg, hh = g.ngens, h.ngens
     cols = []
-    for j in range(g.relations.cols):
-        r = g.relations.col(j)
+    for r in g.relations.columns():
         for jh in range(hh):
             col = [0] * (gg * hh)
             for i in range(gg):
                 col[i * hh + jh] = r[i]
             cols.append(col)
+    h_rels = h.relations.columns()
     for i in range(gg):
-        for j in range(h.relations.cols):
-            s = h.relations.col(j)
+        for s in h_rels:
             col = [0] * (gg * hh)
             for jh in range(hh):
                 col[i * hh + jh] = s[jh]

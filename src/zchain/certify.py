@@ -30,10 +30,8 @@ def classified(cls, prop, construction, piece):
 
 def _nonzero_column(m, g, key="generator"):
     """The first column of m that is nonzero in g, as a witness, or None."""
-    for j in range(m.cols):
-        if not g.contains_zero(m.col(j)):
-            return {key: j, "value": list(g.canon(m.col(j)))}
-    return None
+    bad = g.first_nonzero(m)
+    return None if bad is None else {key: bad[0], "value": list(bad[1])}
 
 
 def equal_maps(got, expected, construction, message):
@@ -107,12 +105,10 @@ def extension(ext):
         check(cokernel(r_n)[0].is_trivial(), "build_T", "quotient piece fails to surject", n)
         check((r_n @ k_n).is_zero(), "build_T", "composite through the extension is nonzero", n)
         t_n = ext.T.group(n)
-        rel_cols = [t_n.relations.col(j) for j in range(t_n.relations.cols)]
-        img_rows = row_lattice(
-            [k_n.matrix.col(j) for j in range(k_n.matrix.cols)] + rel_cols, t_n.ngens)
+        rel_cols = t_n.relations.columns()
+        img_rows = row_lattice(k_n.matrix.columns() + rel_cols, t_n.ngens)
         ker_lat = preimage_lattice(r_n.matrix, ext.C.group(n).rel_rows)
-        ker_rows = row_lattice(
-            [ker_lat.col(j) for j in range(ker_lat.cols)] + rel_cols, t_n.ngens)
+        ker_rows = row_lattice(ker_lat.columns() + rel_cols, t_n.ngens)
         check(img_rows == ker_rows, "build_T", "extension is not exact in the middle", n)
 
 

@@ -73,7 +73,7 @@ class ChainComplex:
                 elif isinstance(d, IntMatrix):
                     d = GroupHom(self.group(n), self.group(n - 1), d)
                 if d.src != self.group(n) or d.dst != self.group(n - 1):
-                    raise NotAComplex(f"differential at degree {n} has wrong endpoints")
+                    raise NotAComplex(f"differential at degree {n} has wrong endpoints", n)
                 self._diffs[n] = d
 
     def degrees(self):
@@ -134,10 +134,10 @@ def mk_complex(support, groups, diffs):
     and d o d = 0 (NotAComplex).  support may be None for the zero complex."""
     c = ChainComplex(groups, diffs, support)
     for n in c.degrees():
-        require_well_defined(c.diff(n))
+        require_well_defined(c.diff(n), n)
     for n in c.degrees()[2:]:
         if not (c.diff(n - 1) @ c.diff(n)).is_zero():
-            raise NotAComplex(f"d o d is nonzero at degree {n}")
+            raise NotAComplex(f"d o d is nonzero at degree {n}", n)
     return c
 
 
@@ -162,7 +162,7 @@ class ChainMap:
             if isinstance(c, IntMatrix):
                 c = GroupHom(src.group(n), dst.group(n), c)
             if c.src != src.group(n) or c.dst != dst.group(n):
-                raise NotAChainMap(f"component at degree {n} has wrong endpoints")
+                raise NotAChainMap(f"component at degree {n} has wrong endpoints", n)
             comps[n] = c
         self._components = comps
         self._memo = {}
@@ -225,14 +225,14 @@ def mk_chain_map(src, dst, components):
     """The chain map, checked: every component is well defined (IllDefined)
     and every square commutes (NotAChainMap)."""
     f = ChainMap(src, dst, components)
-    for c in f._components.values():
-        require_well_defined(c)
+    for n, c in f._components.items():
+        require_well_defined(c, n)
     degrees = set(src.degrees()) | set(dst.degrees())
     for n in sorted(degrees | {d + 1 for d in degrees}):
         lhs = f.component(n - 1) @ src.diff(n)
         rhs = dst.diff(n) @ f.component(n)
         if not (lhs - rhs).is_zero():
-            raise NotAChainMap(f"square at degree {n} does not commute")
+            raise NotAChainMap(f"square at degree {n} does not commute", n)
     return f
 
 

@@ -166,9 +166,10 @@ def doc_to_complex(doc, max_rank=None):
     try:
         return mk_complex((lo, hi), groups, diffs)
     except NotAComplex as e:
-        raise DocumentError(f"not a complex: {e}", code="not_a_complex") from e
+        raise DocumentError(f"not a complex: {e}", code="not_a_complex", degree=e.degree) from e
     except IllDefined as e:
-        raise DocumentError(f"ill-defined differential: {e}", code="ill_defined") from e
+        raise DocumentError(f"ill-defined differential: {e}", code="ill_defined",
+                            degree=e.degree) from e
 
 
 def map_to_doc(f: ChainMap):
@@ -196,6 +197,8 @@ def doc_to_map(doc, max_rank=None):
     try:
         return mk_chain_map(src, dst, comps)
     except NotAChainMap as e:
-        raise DocumentError(f"not a chain map: {e}", code="not_a_chain_map") from e
+        raise DocumentError(f"not a chain map: {e}", code="not_a_chain_map",
+                            degree=e.degree) from e
     except IllDefined as e:
-        raise DocumentError(f"ill-defined component: {e}", code="ill_defined") from e
+        raise DocumentError(f"ill-defined component: {e}", code="ill_defined",
+                            degree=e.degree) from e

@@ -9,15 +9,23 @@ class DimensionMismatch(ZchainError, ValueError):
     pass
 
 
-class IllDefined(ZchainError):
+class DegreeError(ZchainError):
+    """An error that names the degree where it was found (None when unknown)."""
+
+    def __init__(self, message, degree=None):
+        super().__init__(message)
+        self.degree = degree
+
+
+class IllDefined(DegreeError):
     """A matrix does not define a homomorphism on the given presentations."""
 
 
-class NotAComplex(ZchainError):
+class NotAComplex(DegreeError):
     """d composed with d is not zero."""
 
 
-class NotAChainMap(ZchainError):
+class NotAChainMap(DegreeError):
     """Components do not commute with the differentials."""
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress, count
 from operator import mul
 
 
@@ -42,10 +43,10 @@ class IntMatrix:
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         if entries is None:
-            data = tuple((0,) * cols for _ in range(rows))
+            data = ((0,) * cols,) * rows
         else:
             data = tuple(map(tuple, entries))
-        if len(data) != rows or any(len(r) != cols for r in data):
+        if len(data) != rows or not set(map(len, data)) <= {cols}:
             raise ValueError(f"expected {rows}x{cols} entries")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -66,12 +67,14 @@ class IntMatrix:
 
     @classmethod
     def from_cols(cls, cols, rows=None):
-        cols = [list(c) for c in cols]
+        cols = list(cols)
         if rows is None:
             if not cols:
                 raise ValueError("rows required for a matrix with no columns")
             rows = len(cols[0])
-        return cls(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+        if not set(map(len, cols)) <= {rows}:
+            raise ValueError(f"expected columns of length {rows}")
+        return cls(rows, len(cols), list(zip(*cols)) if cols else ((),) * rows)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -79,7 +82,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(n, n, _identity_rows(n))
 
     def __eq__(self, other):
         return (
@@ -110,7 +113,7 @@ class IntMatrix:
         return tuple(r[j] for r in self.data)
 
     def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def transpose(self):
         return IntMatrix(self.cols, self.rows, list(zip(*self.data)) if self.rows else [[] for _ in range(self.cols)])
@@ -132,14 +135,7 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        bt = list(zip(*other.data))
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            [[sum(map(mul, row, col)) for col in bt] for row in self.data],
-        )
+        return IntMatrix(self.rows, other.cols, _product_rows(self.data, other.data, other.cols))
 
     def mul_vec(self, v):
         if len(v) != self.cols:
@@ -155,7 +151,7 @@ class IntMatrix:
         return IntMatrix(len(indices), self.cols, [self.data[i] for i in indices])
 
     def is_zero(self):
-        return all(x == 0 for r in self.data for x in r)
+        return not any(map(any, self.data))
 
     def is_diagonal(self):
         return all(x == 0 for i, r in enumerate(self.data) for j, x in enumerate(r) if i != j)
@@ -168,7 +164,7 @@ def hstack(blocks):
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row mismatch in hstack")
-    data = [sum((list(b.data[i]) for b in blocks), []) for i in range(rows)]
+    data = [tuple(chain.from_iterable(r)) for r in zip(*[b.data for b in blocks])]
     return IntMatrix(rows, sum(b.cols for b in blocks), data)
 
 
@@ -214,9 +210,35 @@ def kron(a, b):
     return IntMatrix(rows, cols, out)
 
 
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _product_rows(left, right, ncols):
+    """Rows of left @ right: each is the combination of the rows of right
+    picked out by the nonzero entries of the left row."""
+    zero = (0,) * ncols
+    out = []
+    for row in left:
+        ks = list(compress(count(), row))
+        if not ks:
+            out.append(zero)
+        elif len(ks) == 1:
+            k = ks[0]
+            a = row[k]
+            out.append(right[k] if a == 1 else tuple([a * x for x in right[k]]))
+        else:
+            coeffs = [row[k] for k in ks]
+            out.append(tuple([sum(map(mul, coeffs, col)) for col in zip(*[right[k] for k in ks])]))
+    return out
+
+
 def _axpy(dst, src, q):
-    # dst += q * src, in place
-    for j in range(len(dst)):
+    # dst += q * src, in place, over the nonzero entries of src
+    for j in compress(count(), src):
         dst[j] += q * src[j]
 
 
@@ -231,22 +253,29 @@ def hnf(m):
     """
     nrows, ncols = m.rows, m.cols
     H = [list(r) for r in m.data]
-    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    U = _identity_rows(nrows)
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
         # Euclid down the column until a single nonzero entry remains at row r.
-        while True:
-            nz = [i for i in range(r, nrows) if H[i][c]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: (abs(H[i][c]), i))
+        # The pivot is the first row with the least nonzero |entry|; no entry
+        # is below 1, so the search stops at the first unit.
+        piv = None
+        for i in range(r, nrows):
+            b = H[i][c]
+            if b and (piv is None or abs(b) < least):
+                piv, least = i, abs(b)
+                if least == 1:
+                    break
+        while piv is not None:
             if piv != r:
                 H[r], H[piv] = H[piv], H[r]
                 U[r], U[piv] = U[piv], U[r]
             a = H[r][c]
-            done = True
+            # every remainder is smaller than |a|, so the next pivot is the
+            # least one left below row r
+            piv = None
             for i in range(r + 1, nrows):
                 b = H[i][c]
                 if b:
@@ -254,10 +283,9 @@ def hnf(m):
                     if q:
                         _axpy(H[i], H[r], -q)
                         _axpy(U[i], U[r], -q)
-                    if H[i][c]:
-                        done = False
-            if done:
-                break
+                        b = H[i][c]
+                    if b and (piv is None or abs(b) < least):
+                        piv, least = i, abs(b)
         if H[r][c] == 0:
             continue
         if H[r][c] < 0:
@@ -296,26 +324,31 @@ def snf(m):
     """
     nrows, ncols = m.rows, m.cols
     D = [list(r) for r in m.data]
-    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    U = _identity_rows(nrows)
+    V = _identity_rows(ncols)
 
-    def col_axpy(mat, j_dst, j_src, q):
-        for row in mat:
-            row[j_dst] += q * row[j_src]
-
-    def col_swap(mat, j1, j2):
-        for row in mat:
-            row[j1], row[j2] = row[j2], row[j1]
+    def add_col_multiples(src, ops):
+        # column j += q * column src for each (j, q) in ops, in D and V
+        for row in chain(D, V):
+            s = row[src]
+            if s:
+                for j, q in ops:
+                    row[j] += q * s
 
     for t in range(min(nrows, ncols)):
         while True:
+            # the first entry in row-major order with the least nonzero
+            # |value|; the search stops at the first unit
             best = None
             for i in range(t, nrows):
-                Di = D[i]
-                for j in range(t, ncols):
-                    v = Di[j]
-                    if v and (best is None or abs(v) < best[0]):
-                        best = (abs(v), i, j)
+                seg = D[i][t:]
+                if any(seg):
+                    seg = list(map(abs, seg))
+                    v = min(filter(None, seg))
+                    if best is None or v < best[0]:
+                        best = (v, i, t + seg.index(v))
+                        if v == 1:
+                            break
             if best is None:
                 break
             _, bi, bj = best
@@ -323,8 +356,8 @@ def snf(m):
                 D[t], D[bi] = D[bi], D[t]
                 U[t], U[bi] = U[bi], U[t]
             if bj != t:
-                col_swap(D, t, bj)
-                col_swap(V, t, bj)
+                for row in chain(D, V):
+                    row[t], row[bj] = row[bj], row[t]
             a = D[t][t]
             dirty = False
             for i in range(t + 1, nrows):
@@ -338,16 +371,13 @@ def snf(m):
                         dirty = True
             if dirty:
                 continue
-            for j in range(t + 1, ncols):
-                b = D[t][j]
-                if b:
-                    q = b // a
-                    if q:
-                        col_axpy(D, j, t, -q)
-                        col_axpy(V, j, t, -q)
-                    if D[t][j]:
-                        dirty = True
-            if not dirty:
+            # clear row t in one pass: column t is the source of every column
+            # operation and none of them changes it
+            pivot_row = D[t]
+            ops = [(j, -q) for j, q in enumerate([b // a for b in pivot_row[t + 1:]], t + 1) if q]
+            if ops:
+                add_col_multiples(t, ops)
+            if not any(pivot_row[t + 1:]):
                 break
         if best is None:
             break
@@ -364,8 +394,7 @@ def snf(m):
         for j in range(i + 1, rank):
             a, b = D[i][i], D[j][j]
             if b % a:
-                col_axpy(D, i, j, 1)
-                col_axpy(V, i, j, 1)
+                add_col_multiples(j, [(i, 1)])
                 # Rows i, j now read [[a, 0], [b, b]] on columns i, j.
                 g, x, y = xgcd(a, b)
                 ri, rj = list(D[i]), list(D[j])
@@ -379,8 +408,7 @@ def snf(m):
                 # Clear the remaining entry above the new lcm pivot.
                 q = D[i][j] // g
                 if q:
-                    col_axpy(D, j, i, -q)
-                    col_axpy(V, j, i, -q)
+                    add_col_multiples(i, [(j, -q)])
 
     return SnfResult(
         IntMatrix(nrows, ncols, D),
@@ -402,27 +430,43 @@ def column_lattice(m):
     return row_lattice(m.columns(), m.rows)
 
 
-def _pivot(row):
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
+def row_pivots(rows):
+    """Column of the first nonzero entry of each of the given nonzero rows."""
+    return tuple(next(compress(count(), row)) for row in rows)
 
 
-def reduce_mod_rows(v, rows):
-    """Canonical representative of v modulo the lattice given by HNF rows."""
+def reduce_mod_rows(v, rows, pivots=None):
+    """Canonical representative of v modulo the lattice given by HNF rows;
+    pivots are the rows' ``row_pivots``, for callers that keep them."""
     v = list(v)
-    for row in rows:
-        p = _pivot(row)
+    for row, p in zip(rows, pivots or row_pivots(rows)):
         q = v[p] // row[p]
         if q:
-            for j in range(p, len(v)):
-                v[j] -= q * row[j]
+            _axpy(v, row, -q)
     return tuple(v)
 
 
-def lattice_contains(v, rows):
-    return not any(reduce_mod_rows(v, rows))
+def reduce_cols_mod_rows(m, rows, pivots=None):
+    """m with every column replaced by its ``reduce_mod_rows`` representative.
+
+    The same reduction runs on all columns at once, one HNF row at a time,
+    as row operations on m.
+    """
+    if not rows:
+        return m
+    X = list(m.data)
+    for row, p in zip(rows, pivots or row_pivots(rows)):
+        a = row[p]
+        qs = [x // a for x in X[p]]
+        if any(qs):
+            for j in compress(count(), row):
+                c = row[j]
+                X[j] = [x - c * q for x, q in zip(X[j], qs)]
+    return IntMatrix(m.rows, m.cols, X)
+
+
+def lattice_contains(v, rows, pivots=None):
+    return not any(reduce_mod_rows(v, rows, pivots))
 
 
 @lru_cache(maxsize=4096)
@@ -433,9 +477,7 @@ def kernel_basis(m):
     basis is the HNF-canonical one, so it only depends on the kernel itself.
     """
     res = snf(m)
-    raw = [res.V.col(j) for j in range(res.rank, m.cols)]
-    rows = row_lattice(raw, m.cols)
-    return IntMatrix.from_cols([list(r) for r in rows], rows=m.cols)
+    return IntMatrix.from_cols(row_lattice(res.V.columns()[res.rank:], m.cols), rows=m.cols)
 
 
 def solve(m, B):
@@ -452,20 +494,21 @@ def solve(m, B):
     if B.cols == 0:
         return IntMatrix.zeros(m.cols, 0)
     res = snf(m)
-    C = res.U @ B
+    rank = res.rank
+    C = (res.U @ B).data
     # the nonzero diagonal entries of D are exactly the first rank ones
-    if any(any(row) for row in C.data[res.rank:]):
+    if any(map(any, C[rank:])):
         return None
-    Y = []
-    for i in range(res.rank):
+    Y = list(C[:rank])
+    for i in range(rank):
         d = res.D.data[i][i]
-        if any(x % d for x in C.data[i]):
-            return None
-        Y.append([x // d for x in C.data[i]])
-    X = res.V.take_cols(range(res.rank)) @ IntMatrix(res.rank, B.cols, Y)
+        if d != 1:
+            if any(x % d for x in Y[i]):
+                return None
+            Y[i] = tuple([x // d for x in Y[i]])
+    X = IntMatrix(m.cols, B.cols, _product_rows([r[:rank] for r in res.V.data], Y, B.cols))
     # kernel_basis columns are the HNF rows of the kernel lattice, in order
-    K = kernel_basis(m).columns()
-    return IntMatrix.from_cols([reduce_mod_rows(x, K) for x in X.columns()], rows=m.cols)
+    return reduce_cols_mod_rows(X, kernel_basis(m).columns())
 
 
 def inverse_unimodular(m):

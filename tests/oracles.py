@@ -143,3 +143,8 @@ def in_row_lattice(v, rows, ncols):
     for r in rows:
         lat.add(r)
     return v in lat
+
+
+def matmul_naive(a, b, inner, ncols):
+    """Row lists of a @ b by the textbook triple loop (a has `inner` columns)."""
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(ncols)] for row in a]

@@ -4,6 +4,7 @@ import pytest
 
 from zchain.abelian import (
     DirectSum,
+    GroupHom,
     cokernel,
     factor_through,
     free_group,
@@ -118,6 +119,25 @@ def test_canonicalization_detects_equality():
         assert (g.canon(v) == g.canon(w)) == same
         # cross-check membership with a direct solve against the relation matrix
         assert same == (solve(g.relations, IntMatrix.from_cols([diff])) is not None)
+
+
+def test_whole_matrix_lattice_tests_match_columns():
+    # canon_cols, first_nonzero and GroupHom.is_zero against one column at a time
+    rng = random.Random("canon-cols")
+    for _ in range(80):
+        n = rng.randrange(0, 5)
+        k = rng.randrange(0, 4)
+        g = mk_group(n, IntMatrix(n, k, [[rng.randrange(-6, 7) for _ in range(k)] for _ in range(n)]))
+        c = rng.randrange(0, 5)
+        m = IntMatrix(n, c, [[rng.randrange(-9, 10) if rng.random() < 0.4 else 0 for _ in range(c)]
+                             for _ in range(n)])
+        if rng.random() < 0.3:  # some columns in the relation lattice
+            m = g.relations @ IntMatrix(k, c, [[rng.randrange(-2, 3) for _ in range(c)] for _ in range(k)])
+        canon = [g.canon(m.col(j)) for j in range(c)]
+        assert g.canon_cols(m) == IntMatrix.from_cols(canon, rows=n)
+        bad = [j for j in range(c) if not g.contains_zero(m.col(j))]
+        assert g.first_nonzero(m) == ((bad[0], canon[bad[0]]) if bad else None)
+        assert GroupHom(free_group(c), g, m).is_zero() == (not bad)
 
 
 def test_elements_enumeration():

@@ -253,6 +253,49 @@ def test_invalid_document_exit_2(capsys, tmp_path):
     assert payload["error"]["code"] == "not_a_complex"
 
 
+def complex_doc(support, groups, diffs):
+    """A complex document; groups maps a degree to its relation rows."""
+    return {
+        "schema_version": "1",
+        "support": support,
+        "groups": {str(n): {"generators": len(rel) or 1, "relations": rel}
+                   for n, rel in groups.items()},
+        "differentials": {str(n): m for n, m in diffs.items()},
+    }
+
+
+DISK_1 = complex_doc([0, 1], {0: [], 1: []}, {1: [["1"]]})
+
+BAD_DOCUMENTS = [
+    # Z/2 --1--> Z/4: the relation 2 goes to 2, which is not 0 in Z/4
+    ("homology", complex_doc([0, 1], {0: [["4"]], 1: [["2"]]}, {1: [["1"]]}),
+     "ill_defined", 1),
+    # Z --2--> Z --2--> Z: d o d = 4 at degree 2
+    ("homology", complex_doc([0, 2], {0: [], 1: [], 2: []}, {1: [["2"]], 2: [["2"]]}),
+     "not_a_complex", 2),
+    # Z/2 --1--> Z in degree 3
+    ("classify", {"schema_version": "1",
+                  "source": complex_doc([3, 3], {3: [["2"]]}, {}),
+                  "target": complex_doc([3, 3], {3: []}, {}),
+                  "components": {"3": [["1"]]}},
+     "ill_defined", 3),
+    # the identity of the disk in degree 0 but zero in degree 1
+    ("classify", {"schema_version": "1", "source": DISK_1, "target": DISK_1,
+                  "components": {"0": [["1"]], "1": [["0"]]}},
+     "not_a_chain_map", 1),
+]
+
+
+@pytest.mark.parametrize("command, doc, code, degree", BAD_DOCUMENTS,
+                         ids=[f"{c}-{d}" for _, _, c, d in BAD_DOCUMENTS])
+def test_document_errors_name_the_degree(capsys, tmp_path, command, doc, code, degree):
+    path = write(tmp_path, "bad.json", doc)
+    exit_code, out = run_cli(capsys, [command, path])
+    assert exit_code == 2
+    error = json.loads(out)["error"]
+    assert (error["code"], error["degree"]) == (code, degree)
+
+
 def test_rank_cap_exit_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ZCHAIN_MAX_RANK", "2")
     doc = {

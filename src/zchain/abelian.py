@@ -33,7 +33,15 @@ from .intlinalg import (
 
 
 class FgAbGroup:
-    """Presentation Z^ngens / columnspan(relations), with cached normal forms."""
+    """Presentation Z^ngens / columnspan(relations).
+
+    ``rel_rows`` is the HNF row basis of the relation lattice, read off the
+    cached ``hnf`` of the transpose of relations, the same entry that
+    ``solve`` and ``kernel_basis`` of relations read; the free rank is ngens
+    minus its length.  The invariant factors come from ``snf(relations)``
+    only when some HNF pivot exceeds 1: with unit pivots the quotient is
+    free.
+    """
 
     __slots__ = ("ngens", "relations", "rel_rows", "rel_pivots", "invariant_factors",
                  "free_rank", "_free_basis", "_hash")
@@ -43,12 +51,15 @@ class FgAbGroup:
             raise DimensionMismatch(f"relations need {ngens} rows, got {relations.rows}")
         self.ngens = ngens
         self.relations = relations
-        res = snf(relations)
-        diag = [d for d in res.diagonal if d]
-        self.invariant_factors = tuple(d for d in diag if d > 1)
-        self.free_rank = ngens - res.rank
         self.rel_rows = column_lattice(relations)
         self.rel_pivots = row_pivots(self.rel_rows)
+        self.free_rank = ngens - len(self.rel_rows)
+        # unit pivots eliminate their coordinates, leaving a free quotient;
+        # only a larger pivot can hide torsion, which the SNF then reads off
+        if any(row[p] != 1 for row, p in zip(self.rel_rows, self.rel_pivots)):
+            self.invariant_factors = tuple(d for d in snf(relations).diagonal if d > 1)
+        else:
+            self.invariant_factors = ()
         self._free_basis = None
         self._hash = None
 
@@ -194,7 +205,7 @@ class GroupHom:
         return GroupHom(self.src, self.dst, -self.matrix)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GroupHom)
             and self.src == other.src
             and self.dst == other.dst

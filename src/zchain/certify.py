@@ -22,10 +22,45 @@ def found(x, construction, degree, message):
     return x
 
 
-def classified(cls, prop, construction, piece):
-    """cls has the property prop, e.g. "acyclic_cofibration"."""
-    check(getattr(cls, prop), construction,
-          f"{piece} failed its {prop.replace('_', ' ')} certificate", witness=cls.as_dict())
+# the classification booleans each property needs, in the order they are tried
+_PARTS = {
+    "cofibration": ("injective", "coker_degreewise_free"),
+    "fibration": ("surjective",),
+    "weak_equivalence": ("quasi_iso",),
+    "acyclic_cofibration": ("injective", "coker_degreewise_free", "quasi_iso"),
+    "acyclic_fibration": ("surjective", "kernel_acyclic"),
+}
+
+
+def classified(f, cls, prop, construction, piece):
+    """cls = classify(f) has the property prop, e.g. "acyclic_cofibration".
+
+    The degree named is the first where f fails a boolean that prop needs:
+    a nonzero kernel or cokernel group, a cokernel with torsion, an H_n(f)
+    that is not an isomorphism or a kernel homology group that is not zero.
+    """
+    if getattr(cls, prop):
+        return
+    found = (_first_failing_degree(f, part) for part in _PARTS[prop] if not getattr(cls, part))
+    degree = next((n for n in found if n is not None), None)
+    check(False, construction, f"{piece} failed its {prop.replace('_', ' ')} certificate",
+          degree, cls.as_dict())
+
+
+def _first_failing_degree(f, part):
+    """The least degree where f fails the classification boolean part, or
+    None; kernel and cokernel complexes are memo hits after classify(f)."""
+    from .complexes import cokernel_complex, induced_map, kernel_complex
+
+    if part == "quasi_iso":
+        degrees = sorted(set(f.src.window(1)) | set(f.dst.window(1)))
+        return next((n for n in degrees if not induced_map(f, n).is_iso()), None)
+    c, _ = kernel_complex(f) if part in ("injective", "kernel_acyclic") else cokernel_complex(f)
+    for n in c.degrees():
+        g = c.homology(n).group if part == "kernel_acyclic" else c.group(n)
+        if g.invariant_factors if part == "coker_degreewise_free" else not g.is_trivial():
+            return n
+    return None
 
 
 def _nonzero_column(m, g, key="generator"):

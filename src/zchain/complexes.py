@@ -102,6 +102,8 @@ class ChainComplex:
         return all(not self.group(n).invariant_factors for n in self.degrees())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ChainComplex):
             return NotImplemented
         if self.support != other.support:

@@ -104,8 +104,8 @@ def _certified(name, f, middle, layouts, p, labels, kinds):
     certify.equal_maps(p @ left, f, name, "factorization composite does not reproduce the map")
     cls_left = classify(left)
     cls_p = classify(p)
-    certify.classified(cls_left, kinds[0], name, "left piece")
-    certify.classified(cls_p, kinds[1], name, "right piece")
+    certify.classified(left, cls_left, kinds[0], name, "left piece")
+    certify.classified(p, cls_p, kinds[1], name, "right piece")
     return Factorization(middle, left, p, summands, cls_left, cls_p)
 
 
@@ -216,7 +216,7 @@ def gamma(b: ChainComplex, max_rank=None):
         return z, zero_chain_map(z, b)
     g, _, p = _cof_afb("gamma", zero_chain_map(zero_complex(), b), max_rank)
     certify.check(g.is_degreewise_free(), "gamma", "replacement is not degreewise free")
-    certify.classified(classify(p), "acyclic_fibration", "gamma", "replacement projection")
+    certify.classified(p, classify(p), "acyclic_fibration", "gamma", "replacement projection")
     return g, p
 
 

@@ -1,9 +1,12 @@
 """Exact integer linear algebra on arbitrary-precision matrices.
 
 Hermite and Smith normal forms with unimodular transforms, integer kernel
-lattices, and deterministic linear solving.  All entries are Python ints, so
-nothing ever overflows; all results are canonical, so repeated runs produce
-identical output.  0xN and Nx0 matrices are legal throughout.
+lattices, and deterministic linear solving.  Kernels and solutions come from
+the cached Hermite form of the transpose (``hnf(m.transpose())``, whose row
+transform holds both); the Smith form is for invariant factors and explicit
+diagonalizations.  All entries are Python ints, so nothing ever overflows;
+all results are canonical, so repeated runs produce identical output.  0xN
+and Nx0 matrices are legal throughout.
 """
 
 from __future__ import annotations
@@ -455,14 +458,23 @@ def reduce_cols_mod_rows(m, rows, pivots=None):
     if not rows:
         return m
     X = list(m.data)
-    for row, p in zip(rows, pivots or row_pivots(rows)):
+    _eliminate(X, rows, pivots or row_pivots(rows))
+    return IntMatrix(m.rows, m.cols, X)
+
+
+def _eliminate(X, rows, pivots):
+    """Reduce the columns of the row list X in place against the HNF rows;
+    returns the quotient row that each HNF row was subtracted with."""
+    Y = []
+    for row, p in zip(rows, pivots):
         a = row[p]
-        qs = [x // a for x in X[p]]
+        qs = X[p] if a == 1 else [x // a for x in X[p]]
+        Y.append(qs)
         if any(qs):
             for j in compress(count(), row):
                 c = row[j]
                 X[j] = [x - c * q for x, q in zip(X[j], qs)]
-    return IntMatrix(m.rows, m.cols, X)
+    return Y
 
 
 def lattice_contains(v, rows, pivots=None):
@@ -473,40 +485,41 @@ def lattice_contains(v, rows, pivots=None):
 def kernel_basis(m):
     """Columns form the canonical basis of the full kernel lattice {v : mv = 0}.
 
-    The kernel of an integer matrix is automatically saturated; the returned
-    basis is the HNF-canonical one, so it only depends on the kernel itself.
+    Read off the Hermite form of m's transpose: U @ m.T == H, so the rows
+    of U past the rank of H span the kernel.  The returned basis is the
+    HNF-canonical one, so it only depends on the kernel itself.
     """
-    res = snf(m)
-    return IntMatrix.from_cols(row_lattice(res.V.columns()[res.rank:], m.cols), rows=m.cols)
+    H, U = hnf(m.transpose())
+    rank = sum(1 for r in H.data if any(r))
+    return IntMatrix.from_cols(row_lattice(U.data[rank:], m.cols), rows=m.cols)
 
 
 def solve(m, B):
     """Deterministic X with m @ X == B over the integers, or None.
 
     B is an IntMatrix of right-hand sides; a single vector is a one-column
-    matrix.  Column j of X is the canonical representative of the solution
-    coset of column j of B modulo the kernel lattice (reduced against the
-    HNF kernel basis), so it does not depend on any internal choices.  None
-    when some column has no solution.
+    matrix.  Uses the Hermite form of m's transpose, U @ m.T == H: each
+    column of B is reduced down the pivots of H's rows, which span the
+    column lattice of m, and X = U.T @ (the quotients).  Column j of X is
+    the canonical representative of the solution coset of column j of B
+    modulo the kernel lattice (reduced against the HNF kernel basis), so it
+    does not depend on any internal choices.  None when some column has no
+    solution: a pivot that does not divide, or a nonzero residual.
     """
     if B.rows != m.rows:
         raise ValueError("right-hand side row mismatch")
     if B.cols == 0:
         return IntMatrix.zeros(m.cols, 0)
-    res = snf(m)
-    rank = res.rank
-    C = (res.U @ B).data
-    # the nonzero diagonal entries of D are exactly the first rank ones
-    if any(map(any, C[rank:])):
+    H, U = hnf(m.transpose())
+    rows = [r for r in H.data if any(r)]
+    # forward substitution: the rows of H after the i-th vanish at its pivot
+    R = list(B.data)
+    Y = _eliminate(R, rows, row_pivots(rows))
+    if any(map(any, R)):
         return None
-    Y = list(C[:rank])
-    for i in range(rank):
-        d = res.D.data[i][i]
-        if d != 1:
-            if any(x % d for x in Y[i]):
-                return None
-            Y[i] = tuple([x // d for x in Y[i]])
-    X = IntMatrix(m.cols, B.cols, _product_rows([r[:rank] for r in res.V.data], Y, B.cols))
+    # X = U.T @ Y over the first rank rows of U; the rows past them span the kernel
+    Ut = list(zip(*U.data[:len(rows)])) or [()] * m.cols
+    X = IntMatrix(m.cols, B.cols, _product_rows(Ut, Y, B.cols))
     # kernel_basis columns are the HNF rows of the kernel lattice, in order
     return reduce_cols_mod_rows(X, kernel_basis(m).columns())
 

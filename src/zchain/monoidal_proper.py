@@ -149,12 +149,12 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
     m = ChainMap(ck, uv, {n: pq.component(n).matrix for n in ck.degrees()})
     certify.chain_map(m, "pushout_product")
     cls_k = classify(k)
-    certify.classified(cls_k, "cofibration", "pushout_product", "pushout product")
+    certify.classified(k, cls_k, "cofibration", "pushout_product", "pushout product")
     for n in sorted(set(ck.degrees()) | set(uv.degrees())):
         certify.check(m.component(n).is_iso(), "pushout_product",
                       "cokernel comparison is not an isomorphism", n)
     if cls_i.acyclic_cofibration or cls_j.acyclic_cofibration:
-        certify.classified(cls_k, "acyclic_cofibration", "pushout_product", "pushout product")
+        certify.classified(k, cls_k, "acyclic_cofibration", "pushout_product", "pushout product")
     return PushoutProductCert(po, k, u, v, m, ck, cls_k)
 
 

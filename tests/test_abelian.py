@@ -21,7 +21,7 @@ from zchain.abelian import (
     zero_hom,
 )
 from zchain.errors import IllDefined, InfiniteGroup, NotFree
-from zchain.intlinalg import IntMatrix, lattice_contains, solve
+from zchain.intlinalg import IntMatrix, lattice_contains, snf, solve
 
 from helpers import ext1, tensor_hom
 
@@ -40,6 +40,35 @@ def test_mk_group_examples():
 
     t = mk_group(1, IntMatrix.from_rows([[1]]))
     assert t.is_trivial()
+
+
+def test_invariants_match_smith_form():
+    rng = random.Random("group-invariants")
+    examples = [
+        (2, [[2], [1]]),          # HNF pivot 2, yet the quotient Z^2/(2, 1) is free
+        (2, [[2], [0]]),          # Z/2 + Z
+        (2, [[4, 6], [6, 4]]),    # Z/2 + Z/10
+        (1, [[4, 6, 9]]),         # wider than ngens, unit gcd
+        (3, [[1, 0, 2, 0], [0, 1, 3, 2], [0, 0, 0, 4]]),
+        (2, [[], []]),
+        (0, []),
+    ]
+    for ngens, rows in examples:
+        cols = len(rows[0]) if rows else 0
+        check_invariants(ngens, IntMatrix(ngens, cols, rows))
+    for _ in range(300):
+        ngens, cols = rng.randrange(0, 6), rng.randrange(0, 9)
+        scale = rng.choice((1, 1, 2, 3, 6))
+        rels = IntMatrix(ngens, cols, [[scale * rng.randrange(-3, 4) if rng.random() < 0.6 else 0
+                                        for _ in range(cols)] for _ in range(ngens)])
+        check_invariants(ngens, rels)
+
+
+def check_invariants(ngens, rels):
+    g = mk_group(ngens, rels)
+    res = snf(rels)
+    assert g.invariant_factors == tuple(d for d in res.diagonal if d > 1)
+    assert g.free_rank == ngens - res.rank
 
 
 def test_mk_hom_examples():

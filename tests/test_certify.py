@@ -13,14 +13,18 @@ import pytest
 
 import zchain
 from zchain import certify
-from zchain.complexes import cokernel_complex, identity_chain_map, kernel_complex, zero_chain_map
+from zchain.abelian import free_group
+from zchain.complexes import (cokernel_complex, identity_chain_map, kernel_complex, zero_chain_map,
+                              zero_complex)
 from zchain.documents import doc_to_map, map_to_doc
 from zchain.errors import CertificateFailed
 from zchain.modelcls import classify
 from zchain.randgen import random_finite_chain_map, rng_for
 from zchain.verify import run_verify
 
-from helpers import Zmod, sphere
+from zchain.intlinalg import IntMatrix
+
+from helpers import Zmod, mk_chain_map, sphere
 
 PACKAGE = pathlib.Path(zchain.__file__).parent
 
@@ -67,6 +71,29 @@ def test_failure_names_construction_degree_and_witness():
     assert info.value.details == {"construction": "example", "degree": 1,
                                   "witness": {"generator": 0, "value": [2]}}
     assert str(info.value) == "maps differ [example, degree 1]"
+
+
+def test_classification_certificate_names_the_failing_degree():
+    Z = free_group(1)
+    for n in (0, 2):
+        a = sphere(n, Z)
+        times2 = mk_chain_map(a, a, {n: IntMatrix.from_rows([[2]])})   # Z --2--> Z
+        to_zero = zero_chain_map(a, zero_complex())                    # Z --> 0
+        cases = [
+            (times2, "cofibration"),          # cokernel Z/2 has torsion
+            (times2, "fibration"),            # cokernel Z/2 is nonzero
+            (times2, "weak_equivalence"),     # H_n(f) is multiplication by 2
+            (times2, "acyclic_fibration"),    # not surjective
+            (to_zero, "cofibration"),         # kernel Z is nonzero
+            (to_zero, "acyclic_fibration"),   # surjective, but H_n(kernel) = Z
+        ]
+        for f, prop in cases:
+            with pytest.raises(CertificateFailed) as info:
+                certify.classified(f, classify(f), prop, "example", "map")
+            assert info.value.details["degree"] == n, (n, prop)
+            assert info.value.details["witness"] == classify(f).as_dict()
+        ident = identity_chain_map(a)
+        certify.classified(ident, classify(ident), "acyclic_cofibration", "example", "map")
 
 
 def test_verify_counterexample_names_construction_and_degree(monkeypatch):

@@ -7,13 +7,14 @@ from zchain.intlinalg import (
     inverse_unimodular,
     kernel_basis,
     lattice_contains,
+    reduce_cols_mod_rows,
     reduce_mod_rows,
     row_lattice,
     snf,
     solve,
 )
 
-from oracles import det_bareiss, in_row_lattice, matmul_naive, rank_rational
+from oracles import det_bareiss, in_row_lattice, matmul_naive, rank_rational, solve_rational
 
 
 def rand_matrix(rng, max_dim=8, lo=-9, hi=9):
@@ -300,3 +301,79 @@ def test_product_edge_rows():
         pass
     else:
         raise AssertionError("expected failure on ragged columns")
+
+
+def snf_kernel_basis(M):
+    """The kernel basis by way of the Smith form: the columns of V past the rank."""
+    res = snf(M)
+    return IntMatrix.from_cols(row_lattice(res.V.columns()[res.rank:], M.cols), rows=M.cols)
+
+
+def snf_solve(M, B):
+    """The solve by way of the Smith form: U M V = D, so M X = B exactly when
+    D Y = U B, with X = V Y reduced against the kernel basis."""
+    res = snf(M)
+    C = res.U @ B
+    if any(map(any, C.data[res.rank:])):
+        return None
+    Y = []
+    for i in range(res.rank):
+        d = res.D[i, i]
+        if any(x % d for x in C.data[i]):
+            return None
+        Y.append([x // d for x in C.data[i]])
+    Y += [[0] * B.cols for _ in range(M.cols - res.rank)]
+    X = res.V @ IntMatrix(M.cols, B.cols, Y)
+    return reduce_cols_mod_rows(X, snf_kernel_basis(M).columns())
+
+
+def oracle_matrices(rng):
+    """Empty shapes, random shapes, and rank-deficient products of thin factors."""
+    out = [IntMatrix(0, k, []) for k in range(4)] + [IntMatrix(k, 0, [[]] * k) for k in range(4)]
+    for _ in range(120):
+        out.append(rand_matrix(rng, max_dim=7, lo=-6, hi=6))
+        m, n, r = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(0, 4)
+        a = IntMatrix(m, r, [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(m)])
+        b = IntMatrix(r, n, [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(r)])
+        out.append(a @ b)
+    return out
+
+
+def test_solve_and_kernel_match_oracles_and_smith_route():
+    rng = random.Random("hermite-solve-oracle")
+    for M in oracle_matrices(rng):
+        K = kernel_basis(M)
+        assert K.cols == M.cols - rank_rational(M.data, M.cols)
+        assert (M @ K).is_zero()
+        assert K == snf_kernel_basis(M)
+        k = rng.randrange(1, 4)
+        X0 = IntMatrix(M.cols, k, [[rng.randrange(-5, 6) for _ in range(k)] for _ in range(M.cols)])
+        # solvable, possibly perturbed, and scaled by 2 (solvable over Q only
+        # when the scaled system is)
+        candidates = [M @ X0, M @ X0 + IntMatrix(M.rows, k, [[rng.randrange(0, 2) for _ in range(k)]
+                                                                for _ in range(M.rows)])]
+        for B in candidates + [(M @ X0).scale(2)]:
+            for A in (M, M.scale(2), M.scale(3)):
+                X = solve(A, B)
+                assert X == snf_solve(A, B)
+                over_z = [in_row_lattice(B.col(j), A.columns(), A.rows) for j in range(k)]
+                over_q = [solve_rational(A.data, A.cols, B.col(j)) is not None for j in range(k)]
+                assert all(q or not z for z, q in zip(over_z, over_q))
+                if all(over_z):
+                    assert A @ X == B
+                else:
+                    assert X is None
+
+
+def test_solvable_over_q_but_not_over_z():
+    cases = [
+        (IntMatrix.from_rows([[2]]), vec(3)),
+        (IntMatrix.from_rows([[2, 4], [0, 6]]), vec(2, 3)),
+        (IntMatrix.from_rows([[1, 1], [1, -1]]), vec(1, 0)),           # x = (1/2, 1/2)
+        (IntMatrix.from_rows([[2, 0], [0, 0], [4, 0]]), vec(1, 0, 2)),  # rank deficient
+        (IntMatrix.from_rows([[3, 3, 6]]), vec(2)),                     # wide
+    ]
+    for M, b in cases:
+        assert solve_rational(M.data, M.cols, b.col(0)) is not None
+        assert solve(M, b) is None
+        assert snf_solve(M, b) is None

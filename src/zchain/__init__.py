@@ -65,8 +65,8 @@ from .complexes import (
     zero_complex,
 )
 from .modelcls import (
-    Contraction,
     FreeSplitting,
+    Homotopy,
     MapClassification,
     classify,
     is_contractible,
@@ -76,7 +76,6 @@ from .groupring import I2Group, I2_map, IGroup, I_map, build_I, build_I2
 from .factor import Factorization, factor_acf_fib, factor_cof_afb, gamma
 from .lifting import (
     Extension,
-    Homotopy,
     LiftProblem,
     build_T,
     lift_against_acyclic_fibration,

@@ -8,7 +8,7 @@ raises it.  No check is an assert, so all of them run under ``python -O``.
 from __future__ import annotations
 
 from .errors import CertificateFailed
-from .intlinalg import IntMatrix, row_lattice
+from .intlinalg import row_lattice
 
 
 def check(ok, construction, message, degree=None, witness=None):
@@ -109,16 +109,7 @@ def chain_map(f, construction):
         check(bad is None, construction, "square does not commute", n, bad)
 
 
-def contraction(a, s):
-    """d s + s d = identity in every degree of a."""
-    for n in a.degrees():
-        g = a.group(n)
-        m = a.diff(n + 1).matrix @ s.component(n) + s.component(n - 1) @ a.diff(n).matrix
-        bad = _nonzero_column(m - IntMatrix.identity(g.ngens), g)
-        check(bad is None, "is_contractible", "assembled homotopy is not a contraction", n, bad)
-
-
-def homotopy_identity(r, k):
+def homotopy_identity(r, k, construction):
     """d r + r d = k in every degree, for a homotopy r on k: A -> K."""
     a, kc = k.src, k.dst
     for n in a.window(1):
@@ -126,7 +117,7 @@ def homotopy_identity(r, k):
              + r.component(n - 1) @ a.diff(n).matrix
              - k.component(n).matrix)
         bad = _nonzero_column(m, kc.group(n))
-        check(bad is None, "nullhomotopy", "homotopy identity failed", n, bad)
+        check(bad is None, construction, "homotopy identity failed", n, bad)
 
 
 def extension(ext):

@@ -46,35 +46,23 @@ class ChainComplex:
     __slots__ = ("support", "_groups", "_diffs", "_homology")
 
     def __init__(self, groups, diffs, support=None):
-        groups = dict(groups)
-        if support is None:
-            support = (min(groups), max(groups)) if groups else None
-        if support is not None:
-            lo, hi = support
-            groups = {n: groups.get(n, trivial_group()) for n in range(lo, hi + 1)}
-            # drop empty edge degrees
-            while lo <= hi and groups[lo].ngens == 0:
-                groups.pop(lo)
-                lo += 1
-            while lo <= hi and groups[hi].ngens == 0:
-                groups.pop(hi)
-                hi -= 1
-            support = (lo, hi) if lo <= hi else None
-        self.support = support
-        self._groups = groups if support else {}
+        # the support is trimmed to the outermost nonzero groups inside the
+        # given window before any degree is stored, however wide the window
+        nonzero = [n for n, g in groups.items() if g.ngens
+                   and (support is None or support[0] <= n <= support[1])]
+        self.support = (min(nonzero), max(nonzero)) if nonzero else None
+        self._groups = {n: groups.get(n, trivial_group()) for n in self.degrees()}
         self._diffs = {}
         self._homology = {}
-        if support:
-            lo, hi = support
-            for n in range(lo + 1, hi + 1):
-                d = diffs.get(n)
-                if d is None:
-                    d = zero_hom(self.group(n), self.group(n - 1))
-                elif isinstance(d, IntMatrix):
-                    d = GroupHom(self.group(n), self.group(n - 1), d)
-                if d.src != self.group(n) or d.dst != self.group(n - 1):
-                    raise NotAComplex(f"differential at degree {n} has wrong endpoints", n)
-                self._diffs[n] = d
+        for n in self.degrees()[1:]:
+            d = diffs.get(n)
+            if d is None:
+                d = zero_hom(self.group(n), self.group(n - 1))
+            elif isinstance(d, IntMatrix):
+                d = GroupHom(self.group(n), self.group(n - 1), d)
+            if d.src != self.group(n) or d.dst != self.group(n - 1):
+                raise NotAComplex(f"differential at degree {n} has wrong endpoints", n)
+            self._diffs[n] = d
 
     def degrees(self):
         if self.support is None:
@@ -306,10 +294,8 @@ def cone(a):
 class HomologyClassData:
     """Presentation of ker d_n / im d_{n+1} with explicit cycle lifts."""
 
-    degree: int
     group: FgAbGroup
     cycle_lift: IntMatrix  # columns: a cycle in the ambient group per generator
-    ambient: FgAbGroup
 
     def lift(self, coords):
         """Cycle vector representing the class with the given coordinates."""
@@ -319,7 +305,7 @@ class HomologyClassData:
 def _homology_at(a, n):
     gn = a.group(n)
     if gn.ngens == 0:
-        return HomologyClassData(n, trivial_group(), IntMatrix.zeros(0, 0), gn)
+        return HomologyClassData(trivial_group(), IntMatrix.zeros(0, 0))
     d_n = a.diff(n)
     d_up = a.diff(n + 1)
     cycles = preimage_lattice(d_n.matrix, a.group(n - 1).rel_rows)
@@ -328,7 +314,7 @@ def _homology_at(a, n):
     relations = certify.found(solve(cycles, gn.relations), "homology", n,
                               "relations must lie in the cycle lattice")
     h = mk_group(cycles.cols, hstack([boundaries, relations]))
-    return HomologyClassData(n, h, cycles, gn)
+    return HomologyClassData(h, cycles)
 
 
 def induced_map(f, n):

@@ -154,6 +154,10 @@ def doc_to_complex(doc, max_rank=None):
         if rel.rows != ngens:
             rel = IntMatrix.zeros(ngens, 0)
         groups[n] = mk_group(ngens, rel)
+    nonzero = [n for n, g in groups.items() if g.ngens]
+    if max_rank is not None and nonzero and max(nonzero) - min(nonzero) >= max_rank:
+        raise RankCapExceeded(f"groups span {max(nonzero) - min(nonzero) + 1} degrees, "
+                              f"exceeding the cap {max_rank}")
     diffs = {}
     for key, md in diffs_doc.items():
         n = _parse_degree(key, "differentials")

@@ -73,7 +73,7 @@ class _IData:
 
     def i2(self, n) -> I2Group:
         if n not in self._i2:
-            self._i2[n] = build_I2(self.complex.group(n), self.max_rank, ig=self.i(n))
+            self._i2[n] = build_I2(self.i(n))
         return self._i2[n]
 
     def i_diff(self, n) -> GroupHom:
@@ -84,8 +84,7 @@ class _IData:
 
     def i2_diff(self, n) -> GroupHom:
         if n not in self._i2_maps:
-            self._i2_maps[n] = I2_map(
-                self.complex.diff(n), self.i2(n), self.i2(n - 1), self.i(n), self.i(n - 1))
+            self._i2_maps[n] = I2_map(self.complex.diff(n), self.i2(n), self.i2(n - 1))
         return self._i2_maps[n]
 
 
@@ -167,10 +166,7 @@ def _cof_afb(name, f, max_rank):
 
     # I(f) and I^2(f) degreewise
     if_maps = {n: I_map(f.component(n), ia.i(n), ib.i(n)) for n in range(lo - 1, hi + 1)}
-    if2_maps = {
-        n: I2_map(f.component(n), ia.i2(n), ib.i2(n), ia.i(n), ib.i(n))
-        for n in range(lo - 1, hi + 1)
-    }
+    if2_maps = {n: I2_map(f.component(n), ia.i2(n), ib.i2(n)) for n in range(lo - 1, hi + 1)}
     # d(a)            = da
     # d(alpha')       = theta(alpha') - d alpha' (shifted) - I(f)(alpha')
     # d(alpha'')      = alpha'' + d alpha'' (shifted) + I^2(f)(alpha'')

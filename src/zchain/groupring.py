@@ -43,7 +43,7 @@ class IGroup:
 class I2Group:
     """I^2(A) = ker(theta: I(A) -> A) with its basis inside the I basis."""
 
-    base: FgAbGroup
+    ig: IGroup                        # the I(A) it sits in
     free: FgAbGroup
     inclusion_matrix: IntMatrix       # I coordinates of each I^2 basis vector
 
@@ -52,17 +52,14 @@ class I2Group:
         return self.free.ngens
 
 
-def _require_finite(a, max_rank=None):
+def build_I(a, max_rank=None):
+    """I(A) with basis {[a]-[0]} over the nonzero elements in lex order; the
+    one place the group-ring functors check finiteness and the rank cap."""
     if a.free_rank:
         raise InfiniteGroup("group-ring constructions need a finite group")
     if max_rank is not None and a.order() - 1 > max_rank:
         raise RankCapExceeded(
             f"materialized rank {a.order() - 1} exceeds the cap {max_rank}")
-
-
-def build_I(a, max_rank=None):
-    """I(A) with basis {[a]-[0]} over the nonzero elements in lex order."""
-    _require_finite(a, max_rank)
     elements = tuple(a.elements())
     zero = elements[0]
     certify.check(zero == a.zero(), "build_I", "the first element is not zero")
@@ -87,12 +84,11 @@ def build_I(a, max_rank=None):
     )
 
 
-def build_I2(a, max_rank=None, ig=None):
-    """I^2(A) as the canonical kernel lattice of theta on I(A)."""
-    if ig is None:
-        ig = build_I(a, max_rank)
+def build_I2(ig):
+    """I^2(A) as the canonical kernel lattice of theta on I(A) = ig."""
+    a = ig.base
     lat = preimage_lattice(ig.theta_restricted.matrix, a.rel_rows)
-    i2 = I2Group(base=a, free=free_group(lat.cols), inclusion_matrix=lat)
+    i2 = I2Group(ig=ig, free=free_group(lat.cols), inclusion_matrix=lat)
     # the quotient I/I^2 recovers the group itself
     q = mk_group(ig.rank, lat)
     certify.check(is_isomorphic(q, a), "build_I2", "I/I^2 is not isomorphic to the base group",
@@ -100,12 +96,9 @@ def build_I2(a, max_rank=None, ig=None):
     return i2
 
 
-def I_map(f, i_src=None, i_dst=None, max_rank=None):
-    """[a]-[0] -> [f a]-[0]; nonadditive on elements but linear on the basis."""
-    if i_src is None:
-        i_src = build_I(f.src, max_rank)
-    if i_dst is None:
-        i_dst = build_I(f.dst, max_rank)
+def I_map(f, i_src, i_dst):
+    """[a]-[0] -> [f a]-[0] between I(f.src) = i_src and I(f.dst) = i_dst;
+    nonadditive on elements but linear on the basis."""
     cols = []
     for e in i_src.nonzero_elements:
         img = f(e)
@@ -117,17 +110,9 @@ def I_map(f, i_src=None, i_dst=None, max_rank=None):
     return GroupHom(i_src.free, i_dst.free, m)
 
 
-def I2_map(f, i2_src=None, i2_dst=None, i_src=None, i_dst=None, max_rank=None):
+def I2_map(f, i2_src, i2_dst):
     """Restriction of I(f) to the I^2 lattices, by exact change of basis."""
-    if i_src is None:
-        i_src = build_I(f.src, max_rank)
-    if i_dst is None:
-        i_dst = build_I(f.dst, max_rank)
-    if i2_src is None:
-        i2_src = build_I2(f.src, max_rank, ig=i_src)
-    if i2_dst is None:
-        i2_dst = build_I2(f.dst, max_rank, ig=i_dst)
-    im = I_map(f, i_src, i_dst)
+    im = I_map(f, i2_src.ig, i2_dst.ig)
     m = certify.found(solve(i2_dst.inclusion_matrix, im.matrix @ i2_src.inclusion_matrix),
                       "I2_map", None, "I(f) must carry I^2 into I^2")
     return GroupHom(i2_src.free, i2_dst.free, m)

@@ -51,7 +51,7 @@ from .complexes import (
     zero_chain_map,
 )
 from .intlinalg import IntMatrix, inverse_unimodular, vstack
-from .modelcls import classify, is_contractible, split_free_complex
+from .modelcls import Homotopy, classify, is_contractible, split_free_complex
 from .monoidal_proper import pullback
 
 
@@ -71,22 +71,6 @@ class LiftProblem:
             raise PreconditionFailed("bottom map endpoints do not match the square")
         if (self.q @ self.f) != (self.g @ self.i):
             raise PreconditionFailed("square does not commute")
-
-
-@dataclass
-class Homotopy:
-    """Degree +1 maps r(n): A_n -> K_{n+1}; the identity d r + r d = (stated
-    map) is recorded by the operation that produced the homotopy."""
-
-    src: ChainComplex
-    dst: ChainComplex
-    components: dict
-
-    def component(self, n) -> IntMatrix:
-        m = self.components.get(n)
-        if m is None:
-            return IntMatrix.zeros(self.dst.group(n + 1).ngens, self.src.group(n).ngens)
-        return m
 
 
 def nullhomotopy(k: ChainMap) -> Homotopy:
@@ -118,7 +102,7 @@ def nullhomotopy(k: ChainMap) -> Homotopy:
             target = target - t[n - 1] @ split.dprime[n].matrix
         comps[n] = bounding(n, target) @ sd.y_coords + t[n] @ sd.z_coords
     r = Homotopy(a, kc, comps)
-    certify.homotopy_identity(r, k)
+    certify.homotopy_identity(r, k, "nullhomotopy")
     return r
 
 
@@ -223,8 +207,6 @@ class Extension:
     Z: ChainComplex      # pullback of (q, g)
     gtilde: ChainMap     # Z -> L
     qtilde: ChainMap     # Z -> B
-    itilde: ChainMap     # A -> Z
-    ktilde: ChainMap     # K -> Z
     ptilde: ChainMap     # Z -> T
     z_incl: ChainMap     # Z -> L + B (ambient inclusion of the pullback)
     pC: ChainMap         # B -> C (cokernel projection of i)
@@ -242,15 +224,14 @@ def build_T(problem: LiftProblem) -> Extension:
     pb = pullback(q, g)               # legs: to_first -> L, to_second -> B
     itilde = pb.induce(f, i)
     t, p_t = cokernel_complex(itilde)
-    ktilde = pb.induce(j_k, zero_chain_map(kq, i.dst))
-    k_map = p_t @ ktilde
+    k_map = p_t @ pb.induce(j_k, zero_chain_map(kq, i.dst))
     to_c = p_c @ pb.to_second
     r_map = ChainMap(t, c, {n: to_c.component(n).matrix for n in t.degrees()})
     certify.chain_map(r_map, "build_T")
     ext = Extension(
         K=kq, T=t, C=c, k=k_map, r=r_map,
         Z=pb.complex, gtilde=pb.to_first, qtilde=pb.to_second,
-        itilde=itilde, ktilde=ktilde, ptilde=p_t, z_incl=pb.incl, pC=p_c,
+        ptilde=p_t, z_incl=pb.incl, pC=p_c,
         problem=problem,
     )
     certify.extension(ext)

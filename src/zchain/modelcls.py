@@ -23,6 +23,7 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     cokernel_complex,
+    identity_chain_map,
     is_quasi_iso,
     kernel_complex,
     memoized_on_map,
@@ -113,13 +114,12 @@ def classify(f: ChainMap) -> MapClassification:
 class SplitDegree:
     """Coordinates of one degree of a free splitting.
 
-    basis/coords give the isomorphism with free coordinates; y/z columns sit
+    basis embeds free coordinates in the ambient group; y/z columns sit
     inside free coordinates, and the ambient embeddings and coordinate
     extractors are precomposed for direct use.
     """
 
     basis: IntMatrix       # ambient <- free coordinates
-    coords: IntMatrix      # free coordinates <- ambient
     y_cols: IntMatrix      # free <- Y coordinates
     z_cols: IntMatrix      # free <- Z coordinates
     y_amb: IntMatrix       # ambient <- Y
@@ -179,7 +179,6 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
         ky = Y.cols
         sd = SplitDegree(
             basis=B,
-            coords=C,
             y_cols=Y,
             z_cols=Zc,
             y_amb=B @ Y,
@@ -202,21 +201,24 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
 
 
 @dataclass
-class Contraction:
-    """Degreewise maps s with d s + s d = identity."""
+class Homotopy:
+    """Degree +1 maps r(n): A_n -> K_{n+1}; the identity d r + r d = (stated
+    map) is certified by the operation that produced the homotopy."""
 
-    complex: ChainComplex
-    components: dict  # n -> IntMatrix mapping A_n -> A_{n+1}
+    src: ChainComplex
+    dst: ChainComplex
+    components: dict
 
     def component(self, n) -> IntMatrix:
         m = self.components.get(n)
         if m is None:
-            return IntMatrix.zeros(self.complex.group(n + 1).ngens, self.complex.group(n).ngens)
+            return IntMatrix.zeros(self.dst.group(n + 1).ngens, self.src.group(n).ngens)
         return m
 
 
 def is_contractible(a: ChainComplex, split: FreeSplitting | None = None):
-    """The contraction assembled from the inverses of d', or None.
+    """The contraction s: a homotopy on a with d s + s d = 1, assembled from
+    the inverses of d', or None.
 
     Requires a degreewise-free complex; the criterion is that every d' is an
     isomorphism of free groups.
@@ -224,7 +226,7 @@ def is_contractible(a: ChainComplex, split: FreeSplitting | None = None):
     if split is None:
         split = split_free_complex(a)
     if a.support is None:
-        return Contraction(a, {})
+        return Homotopy(a, a, {})
     lo, hi = a.support
     inverses = {}
     for n in range(lo, hi + 2):
@@ -251,6 +253,6 @@ def is_contractible(a: ChainComplex, split: FreeSplitting | None = None):
             comps[n] = IntMatrix.zeros(a.group(n + 1).ngens, a.group(n).ngens)
         else:
             comps[n] = split.degrees[n + 1].y_amb @ inv @ sd.z_coords
-    s = Contraction(a, comps)
-    certify.contraction(a, s)
+    s = Homotopy(a, a, comps)
+    certify.homotopy_identity(s, identity_chain_map(a), "is_contractible")
     return s

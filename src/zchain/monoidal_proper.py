@@ -38,8 +38,6 @@ class PushoutData:
     complex: ChainComplex
     from_first: ChainMap    # B -> P
     from_second: ChainMap   # C -> P
-    proj: ChainMap          # B + C -> P
-    sum_complex: ChainComplex
     span: tuple             # (i, f)
 
     def induce(self, u, v):
@@ -58,15 +56,13 @@ def pushout(i: ChainMap, f: ChainMap) -> PushoutData:
     """Pushout of B <--i-- A --f--> C."""
     if i.src != f.src:
         raise PreconditionFailed("span legs do not share a source")
-    total, incls, projs = dsum_complex([i.dst, f.dst])
+    _, incls, _ = dsum_complex([i.dst, f.dst])
     diff = (incls[0] @ i) - (incls[1] @ f)
     p, proj = cokernel_complex(diff)
     return PushoutData(
         complex=p,
         from_first=proj @ incls[0],
         from_second=proj @ incls[1],
-        proj=proj,
-        sum_complex=total,
         span=(i, f),
     )
 
@@ -118,11 +114,8 @@ class PushoutProductCert:
     certificate: injectivity plus an isomorphism from its cokernel onto the
     tensor of the two cokernels."""
 
-    pushout: PushoutData
     k: ChainMap                      # P -> B (x) D
-    U: ChainComplex                  # coker(i)
-    V: ChainComplex                  # coker(j)
-    m: ChainMap                      # coker(k) -> U (x) V
+    m: ChainMap                      # coker(k) -> coker(i) (x) coker(j)
     coker_k: ChainComplex
     classification: MapClassification
 
@@ -145,7 +138,7 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
     v, pv = cokernel_complex(j)
     uv = tensor(u, v)
     pq = tensor_map(pu, pv)
-    ck, proj_ck = cokernel_complex(k)
+    ck, _ = cokernel_complex(k)
     m = ChainMap(ck, uv, {n: pq.component(n).matrix for n in ck.degrees()})
     certify.chain_map(m, "pushout_product")
     cls_k = classify(k)
@@ -155,7 +148,7 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
                       "cokernel comparison is not an isomorphism", n)
     if cls_i.acyclic_cofibration or cls_j.acyclic_cofibration:
         certify.classified(k, cls_k, "acyclic_cofibration", "pushout_product", "pushout product")
-    return PushoutProductCert(po, k, u, v, m, ck, cls_k)
+    return PushoutProductCert(k, m, ck, cls_k)
 
 
 @dataclass

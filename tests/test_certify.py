@@ -18,13 +18,13 @@ from zchain.complexes import (cokernel_complex, identity_chain_map, kernel_compl
                               zero_complex)
 from zchain.documents import doc_to_map, map_to_doc
 from zchain.errors import CertificateFailed
-from zchain.modelcls import classify
+from zchain.modelcls import classify, is_contractible, split_free_complex
 from zchain.randgen import random_finite_chain_map, rng_for
 from zchain.verify import run_verify
 
-from zchain.intlinalg import IntMatrix
+from zchain.intlinalg import IntMatrix, inverse_unimodular
 
-from helpers import Zmod, mk_chain_map, sphere
+from helpers import Zmod, disk, mk_chain_map, sphere
 
 PACKAGE = pathlib.Path(zchain.__file__).parent
 
@@ -94,6 +94,18 @@ def test_classification_certificate_names_the_failing_degree():
             assert info.value.details["witness"] == classify(f).as_dict()
         ident = identity_chain_map(a)
         certify.classified(ident, classify(ident), "acyclic_cofibration", "example", "map")
+
+
+def test_corrupted_contraction_fails_the_homotopy_identity(monkeypatch):
+    # twice the inverse of d' gives d s + s d = 2 on the disk Z --1--> Z
+    a = disk(0, free_group(1))
+    split = split_free_complex(a)
+    monkeypatch.setattr("zchain.modelcls.inverse_unimodular",
+                        lambda m: inverse_unimodular(m).scale(2))
+    with pytest.raises(CertificateFailed) as info:
+        is_contractible(a, split)
+    assert info.value.details == {"construction": "is_contractible", "degree": 0,
+                                  "witness": {"generator": 0, "value": [1]}}
 
 
 def test_verify_counterexample_names_construction_and_degree(monkeypatch):

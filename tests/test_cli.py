@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -539,3 +540,25 @@ def test_pushout_product_rank_cap(tmp_path, ranks, code):
         assert payload["error"]["type"] == "RankCapExceeded"
     else:
         assert "cofibration" in payload["classification"]["labels"]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("groups, code", [
+    ({"0": {"generators": 1}}, 0),
+    ({"0": {"generators": 1}, str(10**12): {"generators": 1}}, 2),
+])
+def test_wide_support_window_is_not_filled(tmp_path, groups, code):
+    # in a subprocess with 1 GiB of address space and a timeout: filling the
+    # window degree by degree would exhaust either
+    path = write(tmp_path, "wide.json", _complex(support=[0, 10**12], groups=groups))
+    proc = subprocess.run([sys.executable, "-m", "zchain.cli", "homology", path],
+                          capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == code, proc.stderr
+    payload = json.loads(proc.stdout)
+    if code:
+        assert payload["error"]["type"] == "RankCapExceeded"
+    else:
+        assert [h["degree"] for h in payload["homology"]] == [-1, 0, 1]

@@ -129,15 +129,15 @@ def test_double_complex_totalization():
         a, b = f.src, f.dst
         window = list(range(x.support[0] - 3, x.support[1] + 2))
         ia = {m: build_I(a.group(m)) for m in window}
-        i2a = {m: build_I2(a.group(m), ig=ia[m]) for m in window}
+        i2a = {m: build_I2(ia[m]) for m in window}
         ib = {m: build_I(b.group(m)) for m in window}
-        i2b = {m: build_I2(b.group(m), ig=ib[m]) for m in window}
+        i2b = {m: build_I2(ib[m]) for m in window}
 
         def imap(m):
             return I_map(f.component(m), ia[m], ib[m]).matrix
 
         def i2map(m):
-            return I2_map(f.component(m), i2a[m], i2b[m], ia[m], ib[m]).matrix
+            return I2_map(f.component(m), i2a[m], i2b[m]).matrix
 
         # composites vanish at every degree m:
         # theta o j = 0 (as a hom into A)   and   I(f) o j = j o I^2(f)
@@ -154,10 +154,10 @@ def test_double_complex_totalization():
             return I_map(b.diff(m), ib[m], ib[m - 1]).matrix
 
         def i2da(m):
-            return I2_map(a.diff(m), i2a[m], i2a[m - 1], ia[m], ia[m - 1]).matrix
+            return I2_map(a.diff(m), i2a[m], i2a[m - 1]).matrix
 
         def i2db(m):
-            return I2_map(b.diff(m), i2b[m], i2b[m - 1], ib[m], ib[m - 1]).matrix
+            return I2_map(b.diff(m), i2b[m], i2b[m - 1]).matrix
 
         for n in x.degrees():
             if n == x.support[0]:
@@ -222,8 +222,8 @@ def _i_square_data(f, x):
     return {
         "ia": ia,
         "ib": ib,
-        "i2a": {m: build_I2(f.src.group(m), ig=ia[m]) for m in window},
-        "i2b": {m: build_I2(f.dst.group(m), ig=ib[m]) for m in window},
+        "i2a": {m: build_I2(ia[m]) for m in window},
+        "i2b": {m: build_I2(ib[m]) for m in window},
     }
 
 
@@ -236,8 +236,7 @@ def _z_subcomplex(x, b, data):
     groups = {n: layouts[n].group for n in layouts}
 
     def i2db(m):
-        return I2_map(b.diff(m), i2b[m], i2b[m - 1],
-                      data["ib"][m], data["ib"][m - 1]).matrix
+        return I2_map(b.diff(m), i2b[m], i2b[m - 1]).matrix
 
     diffs = {}
     for n in range(lo + 1, hi + 1):
@@ -280,13 +279,13 @@ def _y_subcomplex(x, a, b, f, data):
     groups = {n: layouts[n].group for n in layouts}
 
     def i2da(m):
-        return I2_map(a.diff(m), i2a[m], i2a[m - 1], ia[m], ia[m - 1]).matrix
+        return I2_map(a.diff(m), i2a[m], i2a[m - 1]).matrix
 
     def i2db(m):
-        return I2_map(b.diff(m), i2b[m], i2b[m - 1], ib[m], ib[m - 1]).matrix
+        return I2_map(b.diff(m), i2b[m], i2b[m - 1]).matrix
 
     def i2f(m):
-        return I2_map(f.component(m), i2a[m], i2b[m], ia[m], ib[m]).matrix
+        return I2_map(f.component(m), i2a[m], i2b[m]).matrix
 
     diffs = {}
     for n in range(lo + 1, hi + 1):
@@ -396,18 +395,16 @@ def _x_naturality_map(f, fprime, a_vert, b_vert, xf, xf2):
         ia2 = {m: build_I(fprime.src.group(m)) for m in (n - 1, n - 2)}
         ib = build_I(f.dst.group(n))
         ib2 = build_I(fprime.dst.group(n))
-        i2b = build_I2(f.dst.group(n - 1), ig=build_I(f.dst.group(n - 1)))
-        i2b2 = build_I2(fprime.dst.group(n - 1), ig=build_I(fprime.dst.group(n - 1)))
-        i2a = build_I2(f.src.group(n - 2), ig=ia[n - 2])
-        i2a2 = build_I2(fprime.src.group(n - 2), ig=ia2[n - 2])
+        i2b = build_I2(build_I(f.dst.group(n - 1)))
+        i2b2 = build_I2(build_I(fprime.dst.group(n - 1)))
+        i2a = build_I2(ia[n - 2])
+        i2a2 = build_I2(ia2[n - 2])
         blocks = {
             (0, 0): a_vert.component(n).matrix,
             (1, 1): I_map(a_vert.component(n - 1), ia[n - 1], ia2[n - 1]).matrix,
-            (2, 2): I2_map(a_vert.component(n - 2), i2a, i2a2, ia[n - 2], ia2[n - 2]).matrix,
+            (2, 2): I2_map(a_vert.component(n - 2), i2a, i2a2).matrix,
             (3, 3): I_map(b_vert.component(n), ib, ib2).matrix,
-            (4, 4): I2_map(b_vert.component(n - 1), i2b, i2b2,
-                           build_I(f.dst.group(n - 1)),
-                           build_I(fprime.dst.group(n - 1))).matrix,
+            (4, 4): I2_map(b_vert.component(n - 1), i2b, i2b2).matrix,
         }
         comps[n] = _assemble(xf.middle, xf2.middle, f, fprime, n, blocks, kind="x")
     return mk_chain_map(xf.middle, xf2.middle, comps)
@@ -423,16 +420,16 @@ def _assemble(src_c, dst_c, f, fprime, n, blocks, kind):
         src_parts = [
             f.src.group(n),
             build_I(f.src.group(n - 1)).free,
-            build_I2(f.src.group(n - 2), ig=build_I(f.src.group(n - 2))).free,
+            build_I2(build_I(f.src.group(n - 2))).free,
             build_I(f.dst.group(n)).free,
-            build_I2(f.dst.group(n - 1), ig=build_I(f.dst.group(n - 1))).free,
+            build_I2(build_I(f.dst.group(n - 1))).free,
         ]
         dst_parts = [
             fprime.src.group(n),
             build_I(fprime.src.group(n - 1)).free,
-            build_I2(fprime.src.group(n - 2), ig=build_I(fprime.src.group(n - 2))).free,
+            build_I2(build_I(fprime.src.group(n - 2))).free,
             build_I(fprime.dst.group(n)).free,
-            build_I2(fprime.dst.group(n - 1), ig=build_I(fprime.dst.group(n - 1))).free,
+            build_I2(build_I(fprime.dst.group(n - 1))).free,
         ]
     src_ds = DirectSum(src_parts)
     dst_ds = DirectSum(dst_parts)

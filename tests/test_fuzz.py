@@ -1,11 +1,12 @@
 """Fuzzed documents at the boundary that owns every check.
 
-Whatever a complex or map document holds, ``zchain homology`` and ``zchain
-classify`` exit 0, 1 or 2 with JSON on stdout: never an uncaught exception,
-and never the internal-error code 3.  The documents are small random ones,
-mostly not complexes or chain maps, and valid documents with one to three
-mutations (an entry changed, a node replaced by arbitrary JSON, a key or
-item deleted).
+Whatever its documents hold, every document command exits 0, 1 or 2 with
+JSON on stdout: never an uncaught exception, and never the internal-error
+code 3.  The documents are small random ones, mostly not complexes or chain
+maps, and valid documents with one to three mutations (an entry changed, a
+node replaced by arbitrary JSON, a key or item deleted).  A command that
+reads several documents starts from a valid tuple (a commuting square, a
+cofibration pair) and mutates or replaces one or more of its documents.
 """
 
 import contextlib
@@ -18,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from zchain.cli import main
 from zchain.documents import complex_to_doc, map_to_doc
-from zchain.randgen import random_finite_chain_map, random_finite_complex, rng_for
+from zchain.factor import factor_acf_fib, factor_cof_afb
+from zchain.randgen import (random_finite_chain_map, random_finite_complex,
+                            random_free_cofibration, rng_for)
 
 COMPLEXES = [complex_to_doc(random_finite_complex(rng_for("fuzz-complex", k), max_pieces=2))
              for k in range(4)]
@@ -105,15 +108,17 @@ def mutated(draw, bases):
 
 
 @pytest.fixture(scope="module")
-def document(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+def paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    return [folder / "first.json", folder / "second.json"]
 
 
-def _exits_cleanly(command, doc, path):
-    path.write_text(json.dumps(doc), encoding="utf-8")
+def _exits_cleanly(argv, docs, paths):
+    for doc, path in zip(docs, paths):
+        path.write_text(json.dumps(doc), encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, str(path)])
+        code = main([*argv, *map(str, paths[:len(docs)])])
     assert code in (0, 1, 2)
     payload = json.loads(out.getvalue())
     assert ("error" in payload) == (code != 0)
@@ -121,11 +126,66 @@ def _exits_cleanly(command, doc, path):
 
 @settings(max_examples=250, deadline=None)
 @given(doc=complex_docs() | mutated(COMPLEXES))
-def test_homology_of_any_document_exits_cleanly(document, doc):
-    _exits_cleanly("homology", doc, document)
+def test_homology_of_any_document_exits_cleanly(paths, doc):
+    _exits_cleanly(["homology"], [doc], paths)
 
 
 @settings(max_examples=250, deadline=None)
 @given(doc=map_docs() | mutated(MAPS))
-def test_classify_of_any_document_exits_cleanly(document, doc):
-    _exits_cleanly("classify", doc, document)
+def test_classify_of_any_document_exits_cleanly(paths, doc):
+    _exits_cleanly(["classify"], [doc], paths)
+
+
+def _squares(k):
+    """Both factorizations of one small map, arranged as the squares and
+    pairs that lift and proper-check accept."""
+    f = random_finite_chain_map(rng_for("fuzz-square", k), max_order=3, lo=0, hi=2,
+                                max_pieces=1)
+    fw, fx = factor_acf_fib(f), factor_cof_afb(f)
+    return {"lift": [map_to_doc(g) for g in (fx.left, fx.right, fx.left, fx.right)],
+            "pushout": [map_to_doc(fx.left), map_to_doc(fw.left)],
+            "pullback": [map_to_doc(fw.right), map_to_doc(fx.right)]}
+
+
+SQUARES = [_squares(k) for k in range(3)]
+COFIBRATION_PAIRS = [
+    [map_to_doc(random_free_cofibration(rng_for("fuzz-cofibration", (k, side)),
+                                        acyclic=k % 2 == side, max_rank=1)) for side in (0, 1)]
+    for k in range(4)]
+LIFTS = st.fixed_dictionaries({key: map_docs() for key in "iqfg"})
+
+# argv prefix, valid document tuples, and a strategy for fresh random documents
+COMMANDS = {
+    "lift": (["lift"], [[dict(zip("iqfg", sq["lift"]))] for sq in SQUARES], LIFTS),
+    "tensor": (["tensor"], [COMPLEXES[k:k + 2] for k in range(3)], complex_docs()),
+    "pushout-product": (["pushout-product"], COFIBRATION_PAIRS, map_docs()),
+    "proper-check-pushout": (["proper-check", "--kind", "pushout"],
+                             [sq["pushout"] for sq in SQUARES], map_docs()),
+    "proper-check-pullback": (["proper-check", "--kind", "pullback"],
+                              [sq["pullback"] for sq in SQUARES], map_docs()),
+    "resolve": (["resolve"], [[c] for c in COMPLEXES], complex_docs()),
+    "factorize-cof-acf": (["factorize", "--mode", "cof-acf"], [[m] for m in MAPS], map_docs()),
+    "factorize-acf-fib": (["factorize", "--mode", "acf-fib"], [[m] for m in MAPS], map_docs()),
+}
+
+
+@st.composite
+def arguments(draw, bases, fresh):
+    """The documents of one command line: a valid tuple from bases with one
+    or more of its documents mutated or replaced by a fresh random one."""
+    docs = list(draw(st.sampled_from(bases)))
+    for k in draw(st.sets(st.sampled_from(range(len(docs))), min_size=1)):
+        docs[k] = draw(fresh | mutated([docs[k]]))
+    return docs
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_document_commands_exit_cleanly(paths, command):
+    argv, bases, fresh = COMMANDS[command]
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=arguments(bases, fresh))
+    def run(docs):
+        _exits_cleanly(argv, docs, paths)
+
+    run()

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -31,13 +32,13 @@ def test_build_I_requires_finite():
 
 
 def test_build_I2_examples():
-    i2 = build_I2(Zmod(2))
+    i2 = build_I2(build_I(Zmod(2)))
     assert i2.rank == 1
     assert i2.inclusion_matrix == IntMatrix.from_rows([[2]])
 
-    assert build_I2(mk_group(0, IntMatrix.zeros(0, 0))).rank == 0
+    assert build_I2(build_I(mk_group(0, IntMatrix.zeros(0, 0)))).rank == 0
 
-    i2 = build_I2(Zmod(3))
+    i2 = build_I2(build_I(Zmod(3)))
     assert i2.rank == 2
     # only the lattice is the contract: index 3 inside I(Z/3)
     q = mk_group(2, i2.inclusion_matrix)
@@ -46,13 +47,15 @@ def test_build_I2_examples():
 
 def test_I_map_examples():
     a = Zmod(3)
-    assert I_map(identity_hom(a)).matrix == IntMatrix.identity(2)
+    ia = build_I(a)
+    assert I_map(identity_hom(a), ia, ia).matrix == IntMatrix.identity(2)
 
     z2 = Zmod(2)
-    assert I_map(zero_hom(z2, z2)).is_zero()
+    iz2 = build_I(z2)
+    assert I_map(zero_hom(z2, z2), iz2, iz2).is_zero()
 
     doubling = mk_hom(a, a, [[2]])
-    m = I_map(doubling)
+    m = I_map(doubling, ia, ia)
     assert m.matrix == IntMatrix.from_rows([[0, 1], [1, 0]])  # swaps [1]-[0] and [2]-[0]
 
 
@@ -69,7 +72,7 @@ def test_epsilon_theta_identities():
         for j in range(ig.rank):
             assert a.canon(comp2.col(j)) == ig.nonzero_elements[j]
         # theta kills I^2
-        i2 = build_I2(a, ig=ig)
+        i2 = build_I2(ig)
         killed = ig.theta_restricted.matrix @ i2.inclusion_matrix
         assert all(a.contains_zero(killed.col(j)) for j in range(i2.rank))
 
@@ -78,7 +81,7 @@ def test_quotient_recovers_group():
     for rel in [[[4]], [[2, 0], [0, 2]], [[2, 0], [0, 4]]]:
         a = mk_group(len(rel), IntMatrix.from_rows(rel))
         ig = build_I(a)
-        i2 = build_I2(a, ig=ig)
+        i2 = build_I2(ig)
         q = mk_group(ig.rank, i2.inclusion_matrix)
         assert is_isomorphic(q, a)
 
@@ -99,9 +102,9 @@ def test_functoriality_and_naturality():
         rhs = f @ ia.theta_restricted
         assert lhs == rhs
         # functoriality at the I^2 level
-        i2a, i2b, i2c = build_I2(a, ig=ia), build_I2(b, ig=ib), build_I2(c, ig=ic)
-        lhs2 = I2_map(g @ f, i2a, i2c, ia, ic)
-        rhs2 = I2_map(g, i2b, i2c, ib, ic) @ I2_map(f, i2a, i2b, ia, ib)
+        i2a, i2b, i2c = build_I2(ia), build_I2(ib), build_I2(ic)
+        lhs2 = I2_map(g @ f, i2a, i2c)
+        rhs2 = I2_map(g, i2b, i2c) @ I2_map(f, i2a, i2b)
         assert lhs2 == rhs2
 
 
@@ -110,9 +113,16 @@ def test_i2_lattice_is_theta_kernel():
     for n in [2, 3, 4, 6, 8]:
         a = Zmod(n)
         ig = build_I(a)
-        i2 = build_I2(a, ig=ig)
+        i2 = build_I2(ig)
         rows = row_lattice([i2.inclusion_matrix.col(j) for j in range(i2.rank)], ig.rank)
         for _ in range(20):
             v = tuple(rng.randrange(-3, 4) for _ in range(ig.rank))
             in_kernel = a.contains_zero(ig.theta_restricted.matrix.mul_vec(v))
             assert in_kernel == lattice_contains(v, rows)
+
+
+def test_functors_take_exactly_what_they_read():
+    # the I and I^2 objects are required: no call builds them a second time
+    for fn in (build_I2, I_map, I2_map):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__

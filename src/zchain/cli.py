@@ -222,7 +222,7 @@ def _cmd_proper_check(args, cap):
     return payload, 0 if report.certified else 1
 
 
-def _parse_degrees(spec):
+def _parse_degrees(spec, cap):
     try:
         lo, hi = spec.split("..")
         lo, hi = int(lo), int(hi)
@@ -232,11 +232,14 @@ def _parse_degrees(spec):
     if hi - lo < 3:
         raise DocumentError(f"degree window {spec} must span at least four degrees",
                             code="bad_flag")
+    if hi - lo >= cap:
+        raise DocumentError(f"degree window {spec} spans {hi - lo + 1} degrees, "
+                            f"exceeding the cap {cap}", code="bad_flag")
     return lo, hi
 
 
 def _cmd_verify(args, cap):
-    degrees = _parse_degrees(args.degrees)
+    degrees = _parse_degrees(args.degrees, cap)
     if args.cases < 1:
         raise DocumentError("--cases must be at least 1", code="bad_flag")
     if args.max_order < 2:
@@ -301,7 +304,8 @@ def build_parser():
     p.add_argument("--max-order", type=int, default=6,
                    help="largest group order per degree, at least 2")
     p.add_argument("--degrees", default="-2..2",
-                   help="degree window LO..HI spanning at least four degrees (HI - LO >= 3)")
+                   help="degree window LO..HI spanning at least four degrees (HI - LO >= 3) "
+                        f"and at most ZCHAIN_MAX_RANK degrees (default {DEFAULT_MAX_RANK})")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -2,9 +2,13 @@
 
 A map is a cofibration when injective with degreewise-free cokernel, a
 fibration when surjective, a weak equivalence when a quasi-isomorphism; the
-acyclic variants combine those.  All six underlying booleans are computed
-independently and exactly, so the redundant characterisations can be
-cross-checked.
+acyclic variants combine those.  All six underlying booleans are exact.
+Injectivity, surjectivity, freeness and acyclicity are read off the kernel
+and cokernel complexes.  Whether f is a quasi-isomorphism comes from the long
+exact homology sequence of 0 -> ker f -> A -> B -> coker f -> 0 (Weibel 1994,
+Thm 1.3.1) when f is injective or surjective: an injective f is one exactly
+when its cokernel is acyclic, a surjective f exactly when its kernel is.  For
+a map that is neither, it comes from the induced maps on homology.
 
 For a degreewise-free complex the differential splits as A_n = Y_n + Z_n
 with d(y + z) = d'(y), d' injective and Z_n the cycle subgroup; the complex
@@ -96,17 +100,30 @@ class MapClassification:
 
 @memoized_on_map
 def classify(f: ChainMap) -> MapClassification:
-    """All six booleans, each computed exactly from normal forms; once per map."""
+    """All six booleans, each computed exactly from normal forms; once per map.
+
+    quasi_iso is coker_acyclic for an injective f and kernel_acyclic for a
+    surjective f, by the long exact homology sequence (Weibel 1994, Thm
+    1.3.1); for any other f, H_n(f) is tested in every degree.
+    """
     kc, _ = kernel_complex(f)
     cc, _ = cokernel_complex(f)
     coker_free = all(is_free(cc.group(n)) for n in cc.degrees())
+    injective, surjective = kc.is_zero(), cc.is_zero()
+    kernel_acyclic, coker_acyclic = kc.is_acyclic(), cc.is_acyclic()
+    if injective:
+        quasi_iso = coker_acyclic
+    elif surjective:
+        quasi_iso = kernel_acyclic
+    else:
+        quasi_iso = is_quasi_iso(f)
     return MapClassification(
-        injective=kc.is_zero(),
-        surjective=cc.is_zero(),
+        injective=injective,
+        surjective=surjective,
         coker_degreewise_free=coker_free,
-        quasi_iso=is_quasi_iso(f),
-        kernel_acyclic=kc.is_acyclic(),
-        coker_acyclic=cc.is_acyclic(),
+        quasi_iso=quasi_iso,
+        kernel_acyclic=kernel_acyclic,
+        coker_acyclic=coker_acyclic,
     )
 
 

@@ -157,9 +157,13 @@ def test_certificate_failure_exit_1(capsys, tmp_path, monkeypatch):
 
 
 def test_induced_map_certificate_exit_1(capsys, tmp_path, monkeypatch):
-    # H_0 of Z --2--> Z: the one class has no image cycle when every solve
-    # made by induced_map comes back empty
-    path = write(tmp_path, "x2.json", x2_map_doc())
+    # H_0 of diag(2, 0) on Z^2, a map neither injective nor surjective, so
+    # classify tests it through induced_map: no class has an image cycle when
+    # every solve made by induced_map comes back empty
+    free2 = {**x2_map_doc()["source"], "groups": {"0": {"generators": 2, "relations": []}}}
+    doc = {**x2_map_doc(), "source": free2, "target": free2,
+           "components": {"0": [["2", "0"], ["0", "0"]]}}
+    path = write(tmp_path, "neither.json", doc)
     solve = zchain.complexes.solve
 
     def no_solution_in_induced_map(m, targets):
@@ -439,6 +443,32 @@ def test_verify_rejects_flags_below_their_minimum(flags):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout)["error"]["code"] == "bad_flag"
+
+
+@pytest.mark.parametrize("cap, window, reaches", [
+    (None, "-2000..2000", False),
+    (None, "0..63", True),
+    (None, "-32..32", False),
+    ("8", "-4..3", True),
+    ("8", "-4..4", False),
+])
+def test_verify_degree_window_is_capped(capsys, monkeypatch, cap, window, reaches):
+    # run_verify is a stub, so no window, however wide, runs the suite
+    calls = []
+    monkeypatch.setattr("zchain.cli.run_verify", lambda *args, degrees, **kwargs:
+                        calls.append(degrees) or {"status": "pass"})
+    if cap is None:
+        monkeypatch.delenv("ZCHAIN_MAX_RANK", raising=False)
+    else:
+        monkeypatch.setenv("ZCHAIN_MAX_RANK", cap)
+    code, out = run_cli(capsys, ["verify", "--degrees", window])
+    if reaches:
+        assert code == 0
+        assert calls == [tuple(int(b) for b in window.split(".."))]
+    else:
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "bad_flag"
+        assert calls == []
 
 
 def test_verify_smallest_degree_window(capsys):

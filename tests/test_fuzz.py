@@ -1,4 +1,4 @@
-"""Fuzzed documents at the boundary that owns every check.
+"""Fuzzed documents and flags at the boundary that owns every check.
 
 Whatever its documents hold, every document command exits 0, 1 or 2 with
 JSON on stdout: never an uncaught exception, and never the internal-error
@@ -7,6 +7,7 @@ maps, and valid documents with one to three mutations (an entry changed, a
 node replaced by arbitrary JSON, a key or item deleted).  A command that
 reads several documents starts from a valid tuple (a commuting square, a
 cofibration pair) and mutates or replaces one or more of its documents.
+The flags of `verify` are fuzzed the same way, against a stub suite.
 """
 
 import contextlib
@@ -187,5 +188,47 @@ def test_document_commands_exit_cleanly(paths, command):
     @given(docs=arguments(bases, fresh))
     def run(docs):
         _exits_cleanly(argv, docs, paths)
+
+    run()
+
+
+CAP = 16
+INTEGER_FLAGS = st.integers(-3, 3) | st.integers() | st.sampled_from([10**30, -10**30])
+BOUNDS = st.integers(-CAP - 4, CAP + 4) | st.integers() | st.sampled_from([10**30, -10**30])
+DEGREES = (
+    st.builds(lambda lo, hi: f"{lo}..{hi}", BOUNDS, BOUNDS)
+    | st.builds(lambda lo, width: f"{lo}..{lo + width}", BOUNDS, st.integers(-2, CAP + 2))
+    | st.builds(lambda lo, hi, sep: f"{lo}{sep}{hi}", BOUNDS, BOUNDS,
+                st.sampled_from(["", ".", "...", "..-", " .. ", "-", ":"]))
+    | st.sampled_from(["", "..", "1..", "..4", "9" * 5000 + "..0", "0..4..8", "a..b"])
+    | st.text(max_size=12))
+
+
+def test_verify_flags_exit_cleanly(monkeypatch):
+    # the suite itself is a stub, so no window or case count, however large,
+    # runs anything slow
+    calls = []
+    monkeypatch.setattr("zchain.cli.run_verify",
+                        lambda seed, cases, max_order, degrees:
+                        calls.append((cases, max_order, degrees)) or {"status": "pass"})
+    monkeypatch.setenv("ZCHAIN_MAX_RANK", str(CAP))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cases=INTEGER_FLAGS, max_order=INTEGER_FLAGS, degrees=DEGREES)
+    def run(cases, max_order, degrees):
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", f"--cases={cases}", f"--max-order={max_order}",
+                         f"--degrees={degrees}"])
+        payload = json.loads(out.getvalue())
+        if code == 0:
+            assert payload == {"status": "pass"}
+            [(n, order, (lo, hi))] = calls
+            assert n >= 1 and order >= 2 and 4 <= hi - lo + 1 <= CAP
+        else:
+            assert code == 2
+            assert payload["error"]["code"] == "bad_flag"
+            assert calls == []
 
     run()

@@ -6,13 +6,22 @@ from zchain.abelian import free_group, identity_hom, mk_hom
 from zchain.complexes import (
     dsum_complex,
     identity_chain_map,
+    is_quasi_iso,
     mk_chain_map,
     mk_complex,
     zero_chain_map,
 )
 from zchain.errors import NotFree
+from zchain.factor import factor_acf_fib, factor_cof_afb
 from zchain.intlinalg import IntMatrix
 from zchain.modelcls import classify, is_contractible, split_free_complex
+from zchain.randgen import (
+    random_acyclic_fibration,
+    random_finite_chain_map,
+    random_free_cofibration,
+    random_surjective_non_weq,
+    rng_for,
+)
 
 from helpers import Zmod, disk, r2_complex, sphere
 
@@ -70,6 +79,54 @@ def _classification_zoo(rng):
     total, incls, projs = dsum_complex([s, d])
     out.extend(incls + projs)
     return out
+
+
+def _kind(cls):
+    return "injective" if cls.injective else "surjective" if cls.surjective else "neither"
+
+
+def test_quasi_iso_agrees_with_induced_maps():
+    # classify reads quasi_iso off the kernel or cokernel when it can; the
+    # induced maps on homology must give the same answer on every map
+    maps = _classification_zoo(random.Random("qi-agreement"))
+    for k in range(6):
+        rng = rng_for("qi-agreement", k)
+        maps.append(random_free_cofibration(rng, acyclic=k % 2 == 0))
+        maps.append(random_acyclic_fibration(rng, max_order=4))
+        maps.append(random_surjective_non_weq(rng, max_order=4)[0])
+        f = random_finite_chain_map(rng, max_order=4, max_pieces=2)
+        for fact in (factor_cof_afb(f), factor_acf_fib(f)):
+            maps.extend([fact.left, fact.right])
+    # about one random map in twelve is a quasi-isomorphism that is neither
+    # injective nor surjective
+    maps.extend(random_finite_chain_map(rng_for("qi-agreement-map", k), max_order=4,
+                                        max_pieces=2) for k in range(60))
+    seen = set()
+    for f in maps:
+        cls = classify(f)
+        assert cls.quasi_iso == is_quasi_iso(f)
+        seen.add((_kind(cls), cls.quasi_iso))
+    assert seen == {(kind, qi) for kind in ("injective", "surjective", "neither")
+                    for qi in (True, False)}
+
+
+def test_classify_calls_is_quasi_iso_only_for_maps_neither_injective_nor_surjective(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr("zchain.modelcls.is_quasi_iso",
+                        lambda f: calls.append(f) or is_quasi_iso(f))
+    s = sphere(0, Z)
+    s2 = sphere(0, free_group(2))
+    maps = {
+        "injective": mk_chain_map(s, disk(0, Z), {0: IntMatrix.from_rows([[1]])}),
+        "surjective": mk_chain_map(r2_complex(), sphere(0, Zmod(2)),
+                                   {0: IntMatrix.from_rows([[1]])}),
+        "neither": mk_chain_map(s2, s2, {0: IntMatrix.from_rows([[2, 0], [0, 0]])}),
+    }
+    for kind, f in maps.items():
+        calls.clear()
+        assert _kind(classify(f)) == kind
+        assert len(calls) == (kind == "neither")
 
 
 def test_retract_inherits_labels():

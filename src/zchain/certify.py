@@ -50,11 +50,10 @@ def classified(f, cls, prop, construction, piece):
 def _first_failing_degree(f, part):
     """The least degree where f fails the classification boolean part, or
     None; kernel and cokernel complexes are memo hits after classify(f)."""
-    from .complexes import cokernel_complex, induced_map, kernel_complex
+    from .complexes import cokernel_complex, comparison_degrees, induced_map, kernel_complex
 
     if part == "quasi_iso":
-        degrees = sorted(set(f.src.window(1)) | set(f.dst.window(1)))
-        return next((n for n in degrees if not induced_map(f, n).is_iso()), None)
+        return next((n for n in comparison_degrees(f) if not induced_map(f, n).is_iso()), None)
     c, _ = kernel_complex(f) if part in ("injective", "kernel_acyclic") else cokernel_complex(f)
     for n in c.degrees():
         g = c.homology(n).group if part == "kernel_acyclic" else c.group(n)

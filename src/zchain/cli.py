@@ -20,7 +20,7 @@ import traceback
 
 from .errors import CertificateFailed, DocumentError, RankCapExceeded, ZchainError
 from .documents import (complex_to_doc, decimal_string, doc_to_complex, doc_to_map,
-                        json_to_matrix, map_to_doc, matrix_to_json)
+                        json_to_matrix, map_to_doc, matrix_to_json, parse_decimal)
 from .complexes import tensor
 from .factor import factor_acf_fib, factor_cof_afb, gamma
 from .intlinalg import snf
@@ -37,9 +37,9 @@ def _max_rank():
     if raw is None:
         return DEFAULT_MAX_RANK
     try:
-        value = int(raw)
+        value = parse_decimal(raw)
     except ValueError:
-        raise DocumentError(f"ZCHAIN_MAX_RANK must be an integer, got {raw!r}",
+        raise DocumentError(f"ZCHAIN_MAX_RANK must be a decimal integer, got {raw!r}",
                             code="bad_env") from None
     if value <= 0:
         raise DocumentError("ZCHAIN_MAX_RANK must be positive", code="bad_env")
@@ -113,9 +113,19 @@ def _cmd_snf(args, cap):
     }, 0
 
 
+def _int_flag(value, flag):
+    """An integer flag, read by the rule degree keys follow."""
+    try:
+        return parse_decimal(value)
+    except ValueError:
+        raise DocumentError(f"{flag} must be a decimal integer, got {value!r}",
+                            code="bad_flag") from None
+
+
 def _cmd_homology(args, cap):
+    degree = None if args.degree is None else _int_flag(args.degree, "--degree")
     c = doc_to_complex(_read_json(args.file), max_rank=cap)
-    degrees = [args.degree] if args.degree is not None else list(c.window(1))
+    degrees = [degree] if degree is not None else list(c.window(1))
     return {
         "homology": [
             dict(degree=n, **_group_summary(c.homology(n).group)) for n in degrees
@@ -225,7 +235,7 @@ def _cmd_proper_check(args, cap):
 def _parse_degrees(spec, cap):
     try:
         lo, hi = spec.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = parse_decimal(lo), parse_decimal(hi)
     except ValueError:
         raise DocumentError(f"degrees must look like LO..HI, got {spec!r}",
                             code="bad_flag") from None
@@ -240,11 +250,13 @@ def _parse_degrees(spec, cap):
 
 def _cmd_verify(args, cap):
     degrees = _parse_degrees(args.degrees, cap)
-    if args.cases < 1:
+    cases = _int_flag(args.cases, "--cases")
+    max_order = _int_flag(args.max_order, "--max-order")
+    if cases < 1:
         raise DocumentError("--cases must be at least 1", code="bad_flag")
-    if args.max_order < 2:
+    if max_order < 2:
         raise DocumentError("--max-order must be at least 2", code="bad_flag")
-    report = run_verify(args.seed, args.cases, max_order=args.max_order, degrees=degrees)
+    report = run_verify(args.seed, cases, max_order=max_order, degrees=degrees)
     return report, 0 if report["status"] == "pass" else 1
 
 
@@ -262,7 +274,7 @@ def build_parser():
 
     p = sub.add_parser("homology", help="homology groups of a complex")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", default=None)
     p.set_defaults(fn=_cmd_homology)
 
     p = sub.add_parser("classify", help="classify a chain map")
@@ -300,8 +312,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the randomized axiom suite")
     p.add_argument("--seed", default="0")
-    p.add_argument("--cases", type=int, default=10, help="cases per axiom, at least 1")
-    p.add_argument("--max-order", type=int, default=6,
+    p.add_argument("--cases", default="10", help="cases per axiom, at least 1")
+    p.add_argument("--max-order", default="6",
                    help="largest group order per degree, at least 2")
     p.add_argument("--degrees", default="-2..2",
                    help="degree window LO..HI spanning at least four degrees (HI - LO >= 3) "
@@ -311,16 +323,20 @@ def build_parser():
     return parser
 
 
-def _join_degree_flag(argv):
-    """Let `--degrees -3..4` parse: argparse would read the value as a flag."""
+_VALUE_FLAGS = ("--degrees", "--degree", "--cases", "--max-order")
+
+
+def _join_value_flags(argv):
+    """Let `--degrees -3..4` or `--cases -x` parse, so that the command
+    rejects a bad value itself: argparse would read the value as a flag."""
     out = []
     skip = False
     for k, tok in enumerate(argv):
         if skip:
             skip = False
             continue
-        if tok == "--degrees" and k + 1 < len(argv):
-            out.append(f"--degrees={argv[k + 1]}")
+        if tok in _VALUE_FLAGS and k + 1 < len(argv):
+            out.append(f"{tok}={argv[k + 1]}")
             skip = True
         else:
             out.append(tok)
@@ -331,7 +347,7 @@ def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_degree_flag(list(argv)))
+    args = parser.parse_args(_join_value_flags(list(argv)))
     try:
         cap = _max_rank()
         payload, code = args.fn(args, cap)

@@ -328,10 +328,14 @@ def induced_map(f, n):
     return GroupHom(hs.group, hd.group, hd.group.canon_cols(x))
 
 
+def comparison_degrees(f):
+    """The degrees, ascending, in which H_n(f) is compared: one past either support."""
+    return sorted(set(f.src.window(1)) | set(f.dst.window(1)))
+
+
 def is_quasi_iso(f):
     """H_n(f) is an isomorphism in every degree, one past either support."""
-    degrees = sorted(set(f.src.window(1)) | set(f.dst.window(1)))
-    return all(induced_map(f, n).is_iso() for n in degrees)
+    return all(induced_map(f, n).is_iso() for n in comparison_degrees(f))
 
 
 def dsum_complex(parts):

@@ -47,13 +47,18 @@ def matrix_to_json(m):
     return [[decimal_string(x) for x in row] for row in m.data]
 
 
+def parse_decimal(text):
+    """The int that a string of decimal digits with an optional sign spells:
+    no spaces, underscores or non-ASCII digits.  ValueError otherwise,
+    including past Python's int/str digit limit."""
+    if isinstance(text, str) and _DECIMAL.fullmatch(text):
+        return int(text)
+    raise ValueError(f"not an integer: {text!r}")
+
+
 def _entry(x):
     """A JSON int, or a string of decimal digits with an optional sign."""
-    if type(x) is int:
-        return x
-    if isinstance(x, str) and _DECIMAL.fullmatch(x):
-        return int(x)
-    raise ValueError(f"not an integer: {x!r}")
+    return x if type(x) is int else parse_decimal(x)
 
 
 def json_to_matrix(data, rows, cols, where):
@@ -97,10 +102,11 @@ def complex_to_doc(c: ChainComplex):
 
 
 def _parse_degree(key, where):
-    if not _DECIMAL.fullmatch(key):
+    try:
+        return parse_decimal(key)
+    except ValueError:
         raise DocumentError(f"{where}: degree keys must be integers, got {key!r}",
-                            code="bad_degree")
-    return int(key)
+                            code="bad_degree") from None
 
 
 def _object(value, what):

@@ -20,6 +20,7 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     cokernel_complex,
+    comparison_degrees,
     dsum_complex,
     identity_chain_map,
     induced_map,
@@ -172,7 +173,7 @@ def _homology_ladder(h, key):
     return [{"degree": n, key: induced_map(h, n).is_iso(),
              "source_factors": list(h.src.homology(n).group.invariant_factors),
              "target_factors": list(h.dst.homology(n).group.invariant_factors)}
-            for n in sorted(set(h.src.window(1)) | set(h.dst.window(1)))]
+            for n in comparison_degrees(h)]
 
 
 def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:

@@ -1,5 +1,10 @@
 """Randomized end-to-end verification of the model-structure axioms.
 
+Each axiom is a draw and a check: the draw builds an instance from a
+random.Random, and the check returns None when the instance satisfies the
+axiom or a one-line failure.  The acceptance suite runs the same checks on
+its own, larger draws.
+
 Each axiom runs a fixed number of independent cases; case k of an axiom
 draws from a generator seeded by (seed, axiom, k), so reports are
 reproducible byte for byte.  A failing case stops its axiom and records a
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 from .errors import ZchainError
 from .abelian import cokernel as group_cokernel, kernel as group_kernel, preimage
-from .complexes import cone, induced_map, is_quasi_iso
+from .complexes import comparison_degrees, cone, induced_map, is_quasi_iso
 from .factor import factor_acf_fib, factor_cof_afb, gamma
 from .intlinalg import IntMatrix, inverse_unimodular, kernel_basis, snf, hnf
 from .lifting import LiftProblem, rlp_instance, solve_lift
@@ -32,25 +37,30 @@ from .randgen import (
 )
 
 
-def _case_rng(seed, axiom, k):
-    return rng_for(f"{seed}/{axiom}", k)
-
-
-def _check_snf_hnf(rng, max_order, degrees):
+def draw_matrix(rng):
     m = rng.randrange(0, 9)
     n = rng.randrange(0, 9)
-    mat = IntMatrix(m, n, [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)])
+    return IntMatrix(m, n, [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)])
+
+
+def check_snf_hnf(mat):
+    """Both normal forms with unimodular transforms, a positive divisibility
+    chain, and a saturated kernel basis of the right rank."""
     res = snf(mat)
     if res.U @ mat @ res.V != res.D:
         return "transform identity failed"
-    for u in (res.U, res.V):
-        inverse_unimodular(u)  # raises when not unimodular
-    diag = [d for d in res.diagonal if d]
-    if any(b % a for a, b in zip(diag, diag[1:])) or not res.D.is_diagonal():
-        return "divisibility chain failed"
     h, u = hnf(mat)
     if u @ mat != h:
         return "row transform identity failed"
+    for t in (res.U, res.V, u):
+        try:
+            inverse_unimodular(t)
+        except ValueError:
+            return "transform is not unimodular"
+    diag = [d for d in res.diagonal if d]
+    if (not res.D.is_diagonal() or any(d < 0 for d in diag)
+            or any(b % a for a, b in zip(diag, diag[1:]))):
+        return "divisibility chain failed"
     k = kernel_basis(mat)
     for j in range(k.cols):
         if any(mat.mul_vec(k.col(j))):
@@ -62,9 +72,7 @@ def _check_snf_hnf(rng, max_order, degrees):
     return None
 
 
-def _check_factorization(rng, max_order, degrees):
-    f = random_finite_chain_map(rng, max_order=max_order,
-                                lo=degrees[0], hi=degrees[1])
+def check_factorization(f):
     fa = factor_acf_fib(f)
     if (fa.right @ fa.left) != f:
         return "first factorization composite failed"
@@ -78,39 +86,35 @@ def _check_factorization(rng, max_order, degrees):
     return None
 
 
-def _check_replacement(rng, max_order, degrees):
-    b = random_finite_complex(rng, max_order=max_order, lo=degrees[0], hi=degrees[1])
+def check_replacement(b):
     g, p = gamma(b)
     if not g.is_degreewise_free():
         return "replacement is not degreewise free"
     cls = classify(p)
     if not cls.surjective:
         return "projection is not surjective"
-    for n in set(g.window(1)) | set(b.window(1)):
+    for n in comparison_degrees(p):
         if not induced_map(p, n).is_iso():
             return f"homology comparison fails in degree {n}"
     return None
 
 
-def _check_lifting(rng, max_order, degrees):
-    route = 1 + (rng.random() < 0.5)
-    i, q, f, g = random_lift_square(rng, route=route, max_order=max_order)
+def check_lifting(i, q, f, g):
     h = solve_lift(LiftProblem(i=i, q=q, f=f, g=g))
     if (q @ h) != g or (h @ i) != f:
         return "lift does not satisfy the square identities"
     return None
 
 
-def _check_cofibrant_generation(rng, max_order, degrees):
-    q = random_acyclic_fibration(rng, max_order=max_order)
+def check_generating_instances(rng, q):
+    """The acyclic fibration q lifts against every generating cofibration:
+    per degree, a disk instance and a sphere instance from a boundary pair,
+    drawn here from rng."""
     a, b = q.src, q.dst
-    window = sorted(set(a.window(0)) | set(b.window(0)))
-    for n in window:
-        # surjectivity instances
+    for n in sorted(set(a.window(0)) | set(b.window(0))):
         bp = random_element(rng, b.group(n + 1))
         if rlp_instance(q, "disk", n, bprime=bp) is None:
             return f"surjectivity instance failed in degree {n}"
-        # sphere/disk instances from a boundary pair
         a0 = random_element(rng, a.group(n + 1))
         cyc = a.group(n).canon(a.diff(n + 1).matrix.mul_vec(a0))
         bp2 = b.group(n + 1).canon(q.component(n + 1).matrix.mul_vec(a0))
@@ -118,8 +122,12 @@ def _check_cofibrant_generation(rng, max_order, degrees):
         bp2 = b.group(n + 1).canon(tuple(x + y for x, y in zip(bp2, z)))
         if rlp_instance(q, "sphere", n, a=cyc, bprime=bp2) is None:
             return f"cycle instance failed in degree {n}"
-    # a surjection that is not a quasi-isomorphism admits a failing instance
-    proj, deg = random_surjective_non_weq(rng, max_order=max_order)
+    return None
+
+
+def check_failing_instance(proj):
+    """A surjection that is not a quasi-isomorphism fails to lift against
+    some generating cofibration."""
     witness = _failing_instance(proj)
     if witness is None:
         return "no failing instance found for a non-quasi-isomorphism"
@@ -137,7 +145,7 @@ def _failing_instance(q):
     preimage of its representative.
     """
     a, b = q.src, q.dst
-    for n in sorted(set(a.window(1)) | set(b.window(1))):
+    for n in comparison_degrees(q):
         hm = induced_map(q, n)
         ha = a.homology(n)
         hb = b.homology(n)
@@ -164,35 +172,45 @@ def _failing_instance(q):
     return None
 
 
-def _check_properness(rng, max_order, degrees):
-    if rng.random() < 0.5:
-        ps = random_finite_complex(rng, max_order=max_order, lo=degrees[0],
-                                   hi=degrees[1], with_pieces=True)
-        b = random_finite_complex(rng, max_order=max_order, lo=degrees[0], hi=degrees[1])
-        c = random_finite_complex(rng, max_order=max_order, lo=degrees[0], hi=degrees[1])
-        i = factor_cof_afb(random_map_out(rng, ps, b)).left
-        w = factor_acf_fib(random_map_out(rng, ps, c)).left
-        report = check_proper("pushout", i, w)
-    else:
-        m = random_finite_complex(rng, max_order=max_order, lo=degrees[0], hi=degrees[1])
-        ps = random_finite_complex(rng, max_order=max_order, lo=degrees[0],
-                                   hi=degrees[1], with_pieces=True)
-        q = factor_acf_fib(random_map_out(rng, ps, m)).right
-        g, p = gamma(m)
-        report = check_proper("pullback", q, p)
-    if not report.certified:
+def draw_pushout_square(rng, max_order, lo, hi):
+    """A cofibration and a weak equivalence out of one complex."""
+    ps = random_finite_complex(rng, max_order=max_order, lo=lo, hi=hi, with_pieces=True)
+    b = random_finite_complex(rng, max_order=max_order, lo=lo, hi=hi)
+    c = random_finite_complex(rng, max_order=max_order, lo=lo, hi=hi)
+    i = factor_cof_afb(random_map_out(rng, ps, b)).left
+    w = factor_acf_fib(random_map_out(rng, ps, c)).left
+    return "pushout", i, w
+
+
+def draw_pullback_square(rng, max_order, lo, hi):
+    """A fibration and a weak equivalence into one complex."""
+    m = random_finite_complex(rng, max_order=max_order, lo=lo, hi=hi)
+    ps = random_finite_complex(rng, max_order=max_order, lo=lo, hi=hi, with_pieces=True)
+    q = factor_acf_fib(random_map_out(rng, ps, m)).right
+    g, p = gamma(m)
+    return "pullback", q, p
+
+
+def check_properness(kind, one, other):
+    if not check_proper(kind, one, other).certified:
         return "opposite map is not a weak equivalence"
     return None
 
 
-def _check_monoidal(rng, max_order, degrees):
-    acyclic = rng.random() < 0.35
-    i = random_free_cofibration(rng, acyclic=acyclic, max_rank=1)
-    j = random_free_cofibration(rng, max_rank=1)
+def draw_cofibrations(rng, acyclic, max_rank):
+    """Two free cofibrations, the first acyclic on request."""
+    return (random_free_cofibration(rng, acyclic=acyclic, max_rank=max_rank),
+            random_free_cofibration(rng, max_rank=max_rank))
+
+
+def check_monoidal(i, j):
+    """The pushout product is a cofibration, acyclic when i or j is, and its
+    cokernel is the tensor product of the cokernels."""
     cert = pushout_product(i, j)
     if not cert.classification.cofibration:
         return "pushout product is not a cofibration"
-    if acyclic and not cert.classification.acyclic_cofibration:
+    if ((classify(i).acyclic_cofibration or classify(j).acyclic_cofibration)
+            and not cert.classification.acyclic_cofibration):
         return "pushout product lost acyclicity"
     for n in set(cert.coker_k.degrees()) | set(cert.m.dst.degrees()):
         if not cert.m.component(n).is_iso():
@@ -200,30 +218,41 @@ def _check_monoidal(rng, max_order, degrees):
     return None
 
 
-def _check_oracles(rng, max_order, degrees):
-    f = random_finite_chain_map(rng, max_order=max_order, lo=degrees[0], hi=degrees[1])
-    qiso = is_quasi_iso(f)
-    c, incl = cone(f.src)
-    po = pushout(incl, f)
-    if qiso != po.complex.is_acyclic():
+def check_cone(f):
+    """f is a quasi-isomorphism exactly when its mapping cone, the pushout
+    of f along the inclusion into cone(A), is acyclic."""
+    _, incl = cone(f.src)
+    if is_quasi_iso(f) != pushout(incl, f).complex.is_acyclic():
         return "mapping cone criterion disagrees with induced maps"
-    a = random_free_complex(rng, max_rank=2)
-    split = split_free_complex(a)
-    contraction = is_contractible(a, split)
-    if (contraction is not None) != a.is_acyclic():
+    return None
+
+
+def check_contraction(a):
+    if (is_contractible(a, split_free_complex(a)) is not None) != a.is_acyclic():
         return "contractibility disagrees with acyclicity"
     return None
 
 
+# Each entry draws one instance from (rng, max_order, lo, hi) and checks it.
 AXIOMS = [
-    ("snf_hnf", _check_snf_hnf),
-    ("factorization", _check_factorization),
-    ("cofibrant_replacement", _check_replacement),
-    ("lifting", _check_lifting),
-    ("cofibrant_generation", _check_cofibrant_generation),
-    ("properness", _check_properness),
-    ("monoidal", _check_monoidal),
-    ("oracle_crosschecks", _check_oracles),
+    ("snf_hnf", lambda rng, order, lo, hi: check_snf_hnf(draw_matrix(rng))),
+    ("factorization", lambda rng, order, lo, hi: check_factorization(
+        random_finite_chain_map(rng, max_order=order, lo=lo, hi=hi))),
+    ("cofibrant_replacement", lambda rng, order, lo, hi: check_replacement(
+        random_finite_complex(rng, max_order=order, lo=lo, hi=hi))),
+    ("lifting", lambda rng, order, lo, hi: check_lifting(
+        *random_lift_square(rng, route=1 + (rng.random() < 0.5), max_order=order))),
+    ("cofibrant_generation", lambda rng, order, lo, hi: (
+        check_generating_instances(rng, random_acyclic_fibration(rng, max_order=order))
+        or check_failing_instance(random_surjective_non_weq(rng, max_order=order)[0]))),
+    ("properness", lambda rng, order, lo, hi: check_properness(
+        *(draw_pushout_square if rng.random() < 0.5 else draw_pullback_square)(
+            rng, order, lo, hi))),
+    ("monoidal", lambda rng, order, lo, hi: check_monoidal(
+        *draw_cofibrations(rng, acyclic=rng.random() < 0.35, max_rank=1))),
+    ("oracle_crosschecks", lambda rng, order, lo, hi: (
+        check_cone(random_finite_chain_map(rng, max_order=order, lo=lo, hi=hi))
+        or check_contraction(random_free_complex(rng, max_rank=2)))),
 ]
 
 # relative case weights: structural axioms are cheap, certificates are not
@@ -260,9 +289,9 @@ def run_verify(seed, cases, max_order=6, degrees=(-2, 2)):
             "counterexample": None,
         }
         for k in range(n_cases):
-            rng = _case_rng(seed, name, k)
+            rng = rng_for(f"{seed}/{name}", k)
             try:
-                failure = fn(rng, max_order, degrees)
+                failure = fn(rng, max_order, *degrees)
             except ZchainError as e:
                 failure = f"{type(e).__name__}: {e}"
             if failure is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import resource
@@ -16,6 +17,7 @@ from zchain.documents import (
 )
 from zchain.errors import DocumentError
 from zchain.factor import gamma
+from zchain.intlinalg import IntMatrix, snf
 from zchain.modelcls import MapClassification
 from zchain.randgen import random_finite_chain_map, random_finite_complex, rng_for
 
@@ -428,19 +430,27 @@ def test_map_source_must_be_inline(capsys, tmp_path):
     assert error_code(capsys, ["classify", path]) == (2, "bad_document")
 
 
+VERIFY = ["verify", "--seed", "1", "--cases", "1"]
+
+
 @pytest.mark.parametrize("flags", [
-    ["--degrees", "0..2"],
-    ["--degrees", "3..1"],
-    ["--max-order", "1"],
-    ["--max-order", "0"],
-    ["--cases", "0"],
-    ["--cases", "-1"],
+    [*VERIFY, "--degrees", "0..2"],
+    [*VERIFY, "--degrees", "3..1"],
+    [*VERIFY, "--max-order", "1"],
+    [*VERIFY, "--max-order", "0"],
+    [*VERIFY, "--cases", "0"],
+    [*VERIFY, "--cases", "-1"],
+    # integer flags that are not decimal integers at all
+    [*VERIFY, "--cases", "abc"],
+    [*VERIFY, "--cases", "-x"],
+    [*VERIFY, "--cases", "9" * 5000],
+    [*VERIFY, "--max-order", "2.5"],
+    ["homology", "--degree", "x", "never-read.json"],
 ])
 def test_verify_rejects_flags_below_their_minimum(flags):
     # a subprocess with a timeout, so that a flag that hangs fails the test
-    proc = subprocess.run(
-        [sys.executable, "-m", "zchain.cli", "verify", "--seed", "1", "--cases", "1", *flags],
-        capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "zchain.cli", *flags],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout)["error"]["code"] == "bad_flag"
 
@@ -471,6 +481,54 @@ def test_verify_degree_window_is_capped(capsys, monkeypatch, cap, window, reache
         assert calls == []
 
 
+@pytest.mark.parametrize("env, flags, code", [
+    (None, ["--degrees", "1_0..1_5"], "bad_flag"),
+    (None, ["--degrees", "\u0660..\u0663"], "bad_flag"),
+    (None, ["--degrees", " 0..3 "], "bad_flag"),
+    (None, ["--cases", "1_0"], "bad_flag"),
+    (None, ["--max-order", " 6"], "bad_flag"),
+    (" 6_4 ", [], "bad_env"),
+    ("\u0666\u0664", [], "bad_env"),
+    (None, ["--degrees", "+0..3", "--cases", "+1", "--max-order", "02"], None),
+    ("+64", [], None),
+], ids=["degrees-underscore", "degrees-non-ascii", "degrees-spaces", "cases-underscore",
+        "max-order-space", "env-underscore-spaces", "env-non-ascii", "signed-and-leading-zero",
+        "env-signed"])
+def test_integer_spellings_follow_the_decimal_rule(capsys, monkeypatch, env, flags, code):
+    # flag bounds and ZCHAIN_MAX_RANK read integers as degree keys do: an
+    # optional sign and ASCII digits
+    calls = []
+    monkeypatch.setattr("zchain.cli.run_verify", lambda *args, **kwargs:
+                        calls.append(args) or {"status": "pass"})
+    if env is None:
+        monkeypatch.delenv("ZCHAIN_MAX_RANK", raising=False)
+    else:
+        monkeypatch.setenv("ZCHAIN_MAX_RANK", env)
+    status, out = run_cli(capsys, ["verify", *flags])
+    if code is None:
+        assert (status, calls) == (0, [("0", 1 if flags else 10)])
+    else:
+        assert (status, json.loads(out)["error"]["code"], calls) == (2, code, [])
+
+
+def test_non_unimodular_transform_exit_1(capsys, monkeypatch):
+    # U = 2I on an m x 0 matrix still satisfies U A V = D; seed 1 draws a
+    # 5 x 0 matrix in snf_hnf case 37
+    def snf_with_doubled_u(m):
+        res = snf(m)
+        if m.cols or not m.rows:
+            return res
+        return dataclasses.replace(res, U=IntMatrix.identity(m.rows).scale(2))
+
+    monkeypatch.setattr("zchain.verify.snf", snf_with_doubled_u)
+    code, out = run_cli(capsys, ["verify", "--seed", "1"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["axioms"][0]["counterexample"] == {"case": 37,
+                                                      "detail": "transform is not unimodular"}
+
+
 def test_verify_smallest_degree_window(capsys):
     code, out = run_cli(capsys, ["verify", "--seed", "1", "--cases", "1", "--degrees", "0..3"])
     assert code == 0
@@ -496,11 +554,13 @@ def _group(key, support):
     ("homology", _group("0 ", [0, 0]), "bad_degree"),
     ("homology", _group("1_0", [0, 10]), "bad_degree"),
     ("homology", _group("٠", [0, 0]), "bad_degree"),
+    ("homology", _group("9" * 5000, [0, 0]), "bad_degree"),
     ("homology", _complex(differentials={"1 ": [[]]}, support=[0, 1]), "bad_degree"),
     ("classify", {**x2_map_doc(), "components": {" 0": [["2"]]}}, "bad_degree"),
 ], ids=["group-string", "relation-row-int", "relations-int", "groups-string", "groups-list",
         "differentials-list", "components-list", "degree-space", "degree-underscore",
-        "degree-non-ascii", "differential-degree-space", "component-degree-space"])
+        "degree-non-ascii", "degree-past-digit-limit", "differential-degree-space",
+        "component-degree-space"])
 def test_malformed_document_shapes_exit_2(capsys, tmp_path, command, doc, expected):
     path = write(tmp_path, "doc.json", doc)
     assert error_code(capsys, [command, path]) == (2, expected)

@@ -14,6 +14,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,14 +194,20 @@ def test_document_commands_exit_cleanly(paths, command):
 
 
 CAP = 16
-INTEGER_FLAGS = st.integers(-3, 3) | st.integers() | st.sampled_from([10**30, -10**30])
+DECIMAL = re.compile(r"[+-]?[0-9]+")
+# spellings int() would take but the decimal rule rejects
+LENIENT = st.sampled_from(["1_0", " 5", "5 ", "\u0665", "+\u0666", "1\n"])
+INTEGER_FLAGS = (st.integers(-3, 3) | st.integers() | st.sampled_from([10**30, -10**30])
+                 | LENIENT | st.text(max_size=8))
 BOUNDS = st.integers(-CAP - 4, CAP + 4) | st.integers() | st.sampled_from([10**30, -10**30])
 DEGREES = (
     st.builds(lambda lo, hi: f"{lo}..{hi}", BOUNDS, BOUNDS)
     | st.builds(lambda lo, width: f"{lo}..{lo + width}", BOUNDS, st.integers(-2, CAP + 2))
     | st.builds(lambda lo, hi, sep: f"{lo}{sep}{hi}", BOUNDS, BOUNDS,
                 st.sampled_from(["", ".", "...", "..-", " .. ", "-", ":"]))
-    | st.sampled_from(["", "..", "1..", "..4", "9" * 5000 + "..0", "0..4..8", "a..b"])
+    | st.sampled_from(["", "..", "1..", "..4", "9" * 5000 + "..0", "0..4..8", "a..b",
+                       "1_0..1_5", "\u0660..\u0663", " 0..4", "0..4 ", "0.. 4", "0..+\u0664"])
+    | st.builds(lambda lo, hi: f"{lo}..{hi}", LENIENT, BOUNDS)
     | st.text(max_size=12))
 
 
@@ -226,6 +233,7 @@ def test_verify_flags_exit_cleanly(monkeypatch):
             assert payload == {"status": "pass"}
             [(n, order, (lo, hi))] = calls
             assert n >= 1 and order >= 2 and 4 <= hi - lo + 1 <= CAP
+            assert all(DECIMAL.fullmatch(str(x)) for x in (cases, max_order, *degrees.split("..")))
         else:
             assert code == 2
             assert payload["error"]["code"] == "bad_flag"

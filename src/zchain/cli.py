@@ -260,8 +260,15 @@ def _cmd_verify(args, cap):
     return report, 0 if report["status"] == "pass" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a bad_flag error, not a usage exit."""
+
+    def error(self, message):
+        raise DocumentError(f"{self.prog}: {message}", code="bad_flag")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zchain",
         description="Exact model-structure computations on bounded chain "
                     "complexes of finitely generated abelian groups.")
@@ -344,23 +351,24 @@ def _join_value_flags(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_value_flags(list(argv)))
+    fmt = "json"  # until the command line has parsed
     try:
+        args = build_parser().parse_args(_join_value_flags(list(argv)))
+        fmt = args.format
         cap = _max_rank()
         payload, code = args.fn(args, cap)
     except ZchainError as e:
         _emit({"error": {"type": type(e).__name__, "message": str(e),
-                         **getattr(e, "details", {})}}, args.format)
+                         **getattr(e, "details", {})}}, fmt)
         return 1 if isinstance(e, CertificateFailed) else 2
     except Exception as e:  # a bug: its traceback goes to stderr
         traceback.print_exc()
         _emit({"error": {"type": "InternalError", "exception": type(e).__name__,
-                         "message": str(e)}}, args.format)
+                         "message": str(e)}}, fmt)
         return 3
-    _emit(payload, args.format)
+    _emit(payload, fmt)
     return code
 
 

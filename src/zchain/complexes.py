@@ -448,8 +448,13 @@ def tensor(a, b):
 
 def tensor_map(f, g):
     """f (x) g on the tensor complexes, degreewise Kronecker blocks."""
-    src, src_layouts = _tensor(f.src, g.src)
-    dst, dst_layouts = _tensor(f.dst, g.dst)
+    return _tensor_map(f, g, _tensor(f.src, g.src), _tensor(f.dst, g.dst))
+
+
+def _tensor_map(f, g, src_pair, dst_pair):
+    """f (x) g between the pairs _tensor(f.src, g.src) and _tensor(f.dst, g.dst)."""
+    src, src_layouts = src_pair
+    dst, dst_layouts = dst_pair
     comps = {}
     for n in src.degrees():
         if n not in dst_layouts:

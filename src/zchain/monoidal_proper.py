@@ -25,8 +25,8 @@ from .complexes import (
     identity_chain_map,
     induced_map,
     kernel_complex,
-    tensor,
-    tensor_map,
+    _tensor,
+    _tensor_map,
 )
 from .intlinalg import hstack, vstack
 from .modelcls import MapClassification, classify
@@ -129,16 +129,22 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
     cls_j = classify(j)
     if not cls_i.cofibration or not cls_j.cofibration:
         raise NotCofibration("both inputs must be cofibrations")
-    i_tensor_c = tensor_map(i, identity_chain_map(j.src))
-    a_tensor_j = tensor_map(identity_chain_map(i.src), j)
+    # each tensor complex is built once and shared by the maps into and out of it
+    ac = _tensor(i.src, j.src)
+    bc = _tensor(i.dst, j.src)
+    ad = _tensor(i.src, j.dst)
+    bd = _tensor(i.dst, j.dst)
+    i_tensor_c = _tensor_map(i, identity_chain_map(j.src), ac, bc)
+    a_tensor_j = _tensor_map(identity_chain_map(i.src), j, ac, ad)
     po = pushout(i_tensor_c, a_tensor_j)
-    b_tensor_j = tensor_map(identity_chain_map(i.dst), j)
-    i_tensor_d = tensor_map(i, identity_chain_map(j.dst))
+    b_tensor_j = _tensor_map(identity_chain_map(i.dst), j, bc, bd)
+    i_tensor_d = _tensor_map(i, identity_chain_map(j.dst), ad, bd)
     k = po.induce(b_tensor_j, i_tensor_d)
     u, pu = cokernel_complex(i)
     v, pv = cokernel_complex(j)
-    uv = tensor(u, v)
-    pq = tensor_map(pu, pv)
+    uv_pair = _tensor(u, v)
+    uv = uv_pair[0]
+    pq = _tensor_map(pu, pv, bd, uv_pair)
     ck, _ = cokernel_complex(k)
     m = ChainMap(ck, uv, {n: pq.component(n).matrix for n in ck.degrees()})
     certify.chain_map(m, "pushout_product")

@@ -455,6 +455,29 @@ def test_verify_rejects_flags_below_their_minimum(flags):
     assert json.loads(proc.stdout)["error"]["code"] == "bad_flag"
 
 
+@pytest.mark.parametrize("argv", [
+    ["factorize", "never-read.json"],
+    ["proper-check", "never-read.json", "never-read.json"],
+    ["verify", "--bogus", "1"],
+    ["--format", "xml", "snf", "never-read.json"],
+    ["nosuch"],
+], ids=["missing-mode", "missing-kind", "unknown-flag", "bad-format", "unknown-command"])
+def test_malformed_command_lines_exit_2_with_json(argv):
+    # argparse's own errors: no usage text, the JSON every other bad flag gets
+    proc = subprocess.run([sys.executable, "-m", "zchain.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "bad_flag"
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exits_0_with_usage_on_stdout():
+    proc = subprocess.run([sys.executable, "-m", "zchain.cli", "factorize", "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: zchain factorize")
+
+
 @pytest.mark.parametrize("cap, window, reaches", [
     (None, "-2000..2000", False),
     (None, "0..63", True),

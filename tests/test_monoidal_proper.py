@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from zchain import complexes
 from zchain.abelian import free_group, is_isomorphic, mk_hom
 from zchain.complexes import (
     cone,
@@ -157,6 +159,27 @@ def test_pushout_product_acyclic_factor():
         j = random_free_cofibration(rng, max_rank=1)
         cert = pushout_product(i, j)
         assert cert.classification.acyclic_cofibration
+
+
+def test_pushout_product_builds_each_tensor_complex_once(monkeypatch):
+    # A (x) C, B (x) C, A (x) D, B (x) D and coker i (x) coker j, one build each
+    real = complexes._tensor
+    built = []
+
+    def counting(a, b):
+        built.append((a, b))
+        return real(a, b)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("zchain.")]:
+        if getattr(mod, "_tensor", None) is real:
+            monkeypatch.setattr(mod, "_tensor", counting)
+    for case in range(3):
+        rng = rng_for("pp-tensor-builds", case)
+        i = random_free_cofibration(rng, acyclic=case == 2, max_rank=1)
+        j = random_free_cofibration(rng, max_rank=1)
+        built.clear()
+        pushout_product(i, j)
+        assert len(built) == 5
 
 
 def test_pushout_product_rejects_non_cofibrations():

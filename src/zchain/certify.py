@@ -22,16 +22,6 @@ def found(x, construction, degree, message):
     return x
 
 
-# the classification booleans each property needs, in the order they are tried
-_PARTS = {
-    "cofibration": ("injective", "coker_degreewise_free"),
-    "fibration": ("surjective",),
-    "weak_equivalence": ("quasi_iso",),
-    "acyclic_cofibration": ("injective", "coker_degreewise_free", "quasi_iso"),
-    "acyclic_fibration": ("surjective", "kernel_acyclic"),
-}
-
-
 def classified(f, cls, prop, construction, piece):
     """cls = classify(f) has the property prop, e.g. "acyclic_cofibration".
 
@@ -41,7 +31,9 @@ def classified(f, cls, prop, construction, piece):
     """
     if getattr(cls, prop):
         return
-    found = (_first_failing_degree(f, part) for part in _PARTS[prop] if not getattr(cls, part))
+    from .modelcls import CLASSES
+
+    found = (_first_failing_degree(f, part) for part in CLASSES[prop] if not getattr(cls, part))
     degree = next((n for n in found if n is not None), None)
     check(False, construction, f"{piece} failed its {prop.replace('_', ' ')} certificate",
           degree, cls.as_dict())

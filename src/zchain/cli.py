@@ -19,12 +19,12 @@ import sys
 import traceback
 
 from .errors import CertificateFailed, DocumentError, RankCapExceeded, ZchainError
-from .documents import (complex_to_doc, decimal_string, doc_to_complex, doc_to_map,
-                        json_to_matrix, map_to_doc, matrix_to_json, parse_decimal)
+from .documents import (complex_to_doc, decimal_string, doc_to_complex, doc_to_lift_problem,
+                        doc_to_map, doc_to_matrix, map_to_doc, matrix_to_json, parse_decimal)
 from .complexes import tensor
 from .factor import factor_acf_fib, factor_cof_afb, gamma
 from .intlinalg import snf
-from .lifting import LiftProblem, solve_lift
+from .lifting import solve_lift
 from .modelcls import classify
 from .monoidal_proper import check_proper, pushout_product
 from .verify import run_verify
@@ -94,17 +94,7 @@ def _group_summary(g):
 
 
 def _cmd_snf(args, cap):
-    doc = _read_json(args.file)
-    data = doc.get("matrix") if isinstance(doc, dict) else doc
-    if not isinstance(data, list):
-        raise DocumentError("expected {\"matrix\": [[...]]} or a bare matrix",
-                            code="bad_document")
-    rows = len(data)
-    cols = len(data[0]) if rows and isinstance(data[0], list) else 0
-    m = json_to_matrix(data, rows, cols, "matrix")
-    if max(rows, cols) > cap:
-        raise RankCapExceeded(f"matrix side {max(rows, cols)} exceeds the cap {cap}")
-    res = snf(m)
+    res = snf(doc_to_matrix(_read_json(args.file), cap))
     return {
         "d": matrix_to_json(res.D),
         "u": matrix_to_json(res.U),
@@ -170,18 +160,7 @@ def _cmd_resolve(args, cap):
 
 
 def _cmd_lift(args, cap):
-    doc = _read_json(args.file)
-    if not isinstance(doc, dict):
-        raise DocumentError("lift problem must be an object with i, q, f, g",
-                            code="bad_document")
-    maps = {}
-    for key in ("i", "q", "f", "g"):
-        if key not in doc:
-            raise DocumentError(f"lift problem is missing the map {key!r}",
-                                code="bad_document")
-        maps[key] = doc_to_map(doc[key], max_rank=cap)
-    problem = LiftProblem(i=maps["i"], q=maps["q"], f=maps["f"], g=maps["g"])
-    h = solve_lift(problem)
+    h = solve_lift(doc_to_lift_problem(_read_json(args.file), cap))
     return {"lift": map_to_doc(h)}, 0
 
 

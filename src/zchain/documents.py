@@ -1,11 +1,14 @@
-"""JSON interchange for complexes and chain maps.
+"""JSON interchange: every input document (complex, map, snf matrix, lift
+problem) in, complexes and maps out.
 
 Matrices travel as row-major arrays of decimal strings so that arbitrary
 precision survives any consumer.  On input an entry may also be a JSON
 integer, but not a float, a boolean or any other string; this module is the
 one place where untyped values become matrix entries.  Degree keys are
 decimal strings.  Parse failures raise DocumentError with enough structure
-(degree, code) for a machine-readable report.
+(degree, code) for a machine-readable report; an input above the rank cap
+(generators, relation columns, degrees spanned, matrix sides) raises
+RankCapExceeded.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
 from .abelian import mk_group
 from .complexes import ChainComplex, ChainMap, mk_chain_map, mk_complex
 from .intlinalg import IntMatrix
+from .lifting import LiftProblem
 
 SCHEMA_VERSION = "1"
 
@@ -115,6 +119,47 @@ def _object(value, what):
     return value
 
 
+def _cap(size, max_rank, what):
+    """Refuse an input size above the rank cap; max_rank None sets no cap."""
+    if max_rank is not None and size > max_rank:
+        raise RankCapExceeded(f"{what}: {size} exceeds the cap {max_rank}")
+
+
+def doc_to_matrix(doc, max_rank):
+    """The matrix of an snf document: {"matrix": [[...]]} or a bare matrix."""
+    data = doc.get("matrix") if isinstance(doc, dict) else doc
+    if not isinstance(data, list):
+        raise DocumentError("expected {\"matrix\": [[...]]} or a bare matrix",
+                            code="bad_document")
+    rows = len(data)
+    cols = len(data[0]) if rows and isinstance(data[0], list) else 0
+    _cap(max(rows, cols), max_rank, "matrix side")
+    return json_to_matrix(data, rows, cols, "matrix")
+
+
+def _doc_to_group(gd, n, max_rank):
+    """The group of degree n: generators, and one relation per column of
+    ngens rows; "relations": [] means ngens empty rows."""
+    if not isinstance(gd, dict):
+        raise DocumentError(f"degree {n}: a group must be an object",
+                            code="bad_group", degree=n)
+    ngens = gd.get("generators")
+    if type(ngens) is not int or ngens < 0:
+        raise DocumentError(f"degree {n}: generators must be a nonnegative integer",
+                            code="bad_group", degree=n)
+    _cap(ngens, max_rank, f"degree {n} generators")
+    rel_data = gd.get("relations", [])
+    if rel_data == []:
+        rel_data = [[]] * ngens
+    if (not isinstance(rel_data, list) or len(rel_data) != ngens
+            or not all(isinstance(row, list) for row in rel_data)):
+        raise DocumentError(f"degree {n}: relations need {ngens} rows",
+                            code="bad_group", degree=n)
+    ncols = len(rel_data[0]) if ngens else 0
+    _cap(ncols, max_rank, f"degree {n} relation columns")
+    return mk_group(ngens, json_to_matrix(rel_data, ngens, ncols, f"degree {n} relations"))
+
+
 def doc_to_complex(doc, max_rank=None):
     if not isinstance(doc, dict):
         raise DocumentError("complex document must be an object", code="bad_document")
@@ -140,30 +185,10 @@ def doc_to_complex(doc, max_rank=None):
         if not (lo <= n <= hi):
             raise DocumentError(f"group at degree {n} lies outside the support",
                                 code="support_mismatch", degree=n)
-        if not isinstance(gd, dict):
-            raise DocumentError(f"degree {n}: a group must be an object",
-                                code="bad_group", degree=n)
-        ngens = gd.get("generators")
-        if type(ngens) is not int or ngens < 0:
-            raise DocumentError(f"degree {n}: generators must be a nonnegative integer",
-                                code="bad_group", degree=n)
-        if max_rank is not None and ngens > max_rank:
-            raise RankCapExceeded(f"degree {n}: {ngens} generators exceed the cap {max_rank}")
-        rel_data = gd.get("relations", [])
-        if (not isinstance(rel_data, list) or len(rel_data) not in (0, ngens)
-                or rel_data and not isinstance(rel_data[0], list)):
-            raise DocumentError(f"degree {n}: relations need {ngens} rows",
-                                code="bad_group", degree=n)
-        rel_rows = len(rel_data)
-        ncols = len(rel_data[0]) if rel_rows else 0
-        rel = json_to_matrix(rel_data, ngens if rel_rows else 0, ncols, f"degree {n} relations")
-        if rel.rows != ngens:
-            rel = IntMatrix.zeros(ngens, 0)
-        groups[n] = mk_group(ngens, rel)
+        groups[n] = _doc_to_group(gd, n, max_rank)
     nonzero = [n for n, g in groups.items() if g.ngens]
-    if max_rank is not None and nonzero and max(nonzero) - min(nonzero) >= max_rank:
-        raise RankCapExceeded(f"groups span {max(nonzero) - min(nonzero) + 1} degrees, "
-                              f"exceeding the cap {max_rank}")
+    if nonzero:
+        _cap(max(nonzero) - min(nonzero) + 1, max_rank, "degrees spanned by groups")
     diffs = {}
     for key, md in diffs_doc.items():
         n = _parse_degree(key, "differentials")
@@ -212,3 +237,17 @@ def doc_to_map(doc, max_rank=None):
     except IllDefined as e:
         raise DocumentError(f"ill-defined component: {e}", code="ill_defined",
                             degree=e.degree) from e
+
+
+def doc_to_lift_problem(doc, max_rank):
+    """The lifting square of a lift document: the maps i, q, f and g."""
+    if not isinstance(doc, dict):
+        raise DocumentError("lift problem must be an object with i, q, f, g",
+                            code="bad_document")
+    maps = {}
+    for key in "iqfg":
+        if key not in doc:
+            raise DocumentError(f"lift problem is missing the map {key!r}",
+                                code="bad_document")
+        maps[key] = doc_to_map(doc[key], max_rank=max_rank)
+    return LiftProblem(**maps)

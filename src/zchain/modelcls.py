@@ -18,7 +18,7 @@ splitting assembles an explicit contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import certify
 from .errors import NotFree
@@ -42,6 +42,22 @@ from .intlinalg import (
 )
 
 
+# The five classes of the model structure, in label order, and the
+# classification booleans whose conjunction each one is.
+CLASSES = {
+    "cofibration": ("injective", "coker_degreewise_free"),
+    "fibration": ("surjective",),
+    "weak_equivalence": ("quasi_iso",),
+    "acyclic_cofibration": ("injective", "coker_degreewise_free", "quasi_iso"),
+    "acyclic_fibration": ("surjective", "kernel_acyclic"),
+}
+
+
+def _member(name):
+    """The property that a classified map lies in the class name."""
+    return property(lambda self: all(getattr(self, part) for part in CLASSES[name]))
+
+
 @dataclass(frozen=True)
 class MapClassification:
     injective: bool
@@ -51,51 +67,18 @@ class MapClassification:
     kernel_acyclic: bool
     coker_acyclic: bool
 
-    @property
-    def cofibration(self):
-        return self.injective and self.coker_degreewise_free
-
-    @property
-    def fibration(self):
-        return self.surjective
-
-    @property
-    def weak_equivalence(self):
-        return self.quasi_iso
-
-    @property
-    def acyclic_cofibration(self):
-        return self.cofibration and self.quasi_iso
-
-    @property
-    def acyclic_fibration(self):
-        return self.surjective and self.kernel_acyclic
+    cofibration = _member("cofibration")
+    fibration = _member("fibration")
+    weak_equivalence = _member("weak_equivalence")
+    acyclic_cofibration = _member("acyclic_cofibration")
+    acyclic_fibration = _member("acyclic_fibration")
 
     @property
     def labels(self):
-        out = []
-        if self.cofibration:
-            out.append("cofibration")
-        if self.fibration:
-            out.append("fibration")
-        if self.weak_equivalence:
-            out.append("weak_equivalence")
-        if self.acyclic_cofibration:
-            out.append("acyclic_cofibration")
-        if self.acyclic_fibration:
-            out.append("acyclic_fibration")
-        return tuple(out)
+        return tuple(name for name in CLASSES if getattr(self, name))
 
     def as_dict(self):
-        return {
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "coker_degreewise_free": self.coker_degreewise_free,
-            "quasi_iso": self.quasi_iso,
-            "kernel_acyclic": self.kernel_acyclic,
-            "coker_acyclic": self.coker_acyclic,
-            "labels": list(self.labels),
-        }
+        return {**asdict(self), "labels": list(self.labels)}
 
 
 @memoized_on_map

@@ -233,39 +233,29 @@ def check_contraction(a):
     return None
 
 
-# Each entry draws one instance from (rng, max_order, lo, hi) and checks it.
+# Each entry names an axiom, weighs its case count (structural axioms are
+# cheap, certificates are not), and draws one instance from (rng, max_order,
+# lo, hi) and checks it.
 AXIOMS = [
-    ("snf_hnf", lambda rng, order, lo, hi: check_snf_hnf(draw_matrix(rng))),
-    ("factorization", lambda rng, order, lo, hi: check_factorization(
+    ("snf_hnf", 4.0, lambda rng, order, lo, hi: check_snf_hnf(draw_matrix(rng))),
+    ("factorization", 1.0, lambda rng, order, lo, hi: check_factorization(
         random_finite_chain_map(rng, max_order=order, lo=lo, hi=hi))),
-    ("cofibrant_replacement", lambda rng, order, lo, hi: check_replacement(
+    ("cofibrant_replacement", 1.0, lambda rng, order, lo, hi: check_replacement(
         random_finite_complex(rng, max_order=order, lo=lo, hi=hi))),
-    ("lifting", lambda rng, order, lo, hi: check_lifting(
+    ("lifting", 0.5, lambda rng, order, lo, hi: check_lifting(
         *random_lift_square(rng, route=1 + (rng.random() < 0.5), max_order=order))),
-    ("cofibrant_generation", lambda rng, order, lo, hi: (
+    ("cofibrant_generation", 0.5, lambda rng, order, lo, hi: (
         check_generating_instances(rng, random_acyclic_fibration(rng, max_order=order))
         or check_failing_instance(random_surjective_non_weq(rng, max_order=order)[0]))),
-    ("properness", lambda rng, order, lo, hi: check_properness(
+    ("properness", 0.5, lambda rng, order, lo, hi: check_properness(
         *(draw_pushout_square if rng.random() < 0.5 else draw_pullback_square)(
             rng, order, lo, hi))),
-    ("monoidal", lambda rng, order, lo, hi: check_monoidal(
+    ("monoidal", 0.25, lambda rng, order, lo, hi: check_monoidal(
         *draw_cofibrations(rng, acyclic=rng.random() < 0.35, max_rank=1))),
-    ("oracle_crosschecks", lambda rng, order, lo, hi: (
+    ("oracle_crosschecks", 1.0, lambda rng, order, lo, hi: (
         check_cone(random_finite_chain_map(rng, max_order=order, lo=lo, hi=hi))
         or check_contraction(random_free_complex(rng, max_rank=2)))),
 ]
-
-# relative case weights: structural axioms are cheap, certificates are not
-_SCALE = {
-    "snf_hnf": 4.0,
-    "factorization": 1.0,
-    "cofibrant_replacement": 1.0,
-    "lifting": 0.5,
-    "cofibrant_generation": 0.5,
-    "properness": 0.5,
-    "monoidal": 0.25,
-    "oracle_crosschecks": 1.0,
-}
 
 
 def run_verify(seed, cases, max_order=6, degrees=(-2, 2)):
@@ -278,8 +268,8 @@ def run_verify(seed, cases, max_order=6, degrees=(-2, 2)):
         "axioms": [],
         "status": "pass",
     }
-    for name, fn in AXIOMS:
-        n_cases = max(1, int(cases * _SCALE[name]))
+    for name, weight, check in AXIOMS:
+        n_cases = max(1, int(cases * weight))
         entry = {
             "name": name,
             "cases": n_cases,
@@ -291,7 +281,7 @@ def run_verify(seed, cases, max_order=6, degrees=(-2, 2)):
         for k in range(n_cases):
             rng = rng_for(f"{seed}/{name}", k)
             try:
-                failure = fn(rng, max_order, *degrees)
+                failure = check(rng, max_order, *degrees)
             except ZchainError as e:
                 failure = f"{type(e).__name__}: {e}"
             if failure is None:

@@ -40,6 +40,35 @@ def test_no_assert_and_certify_is_the_only_raiser():
                 assert path.name == "certify.py", where
 
 
+CLASS_NAMES = {"cofibration", "fibration", "weak_equivalence", "acyclic_cofibration",
+               "acyclic_fibration"}
+
+
+def test_documents_and_model_classes_have_one_owner():
+    # the command line reads every document through zchain.documents
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"json_to_matrix", "LiftProblem", "IntMatrix"}
+    # the five classes are mapped to their booleans in one table, and no
+    # class is a hand-written function
+    tables = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value in CLASS_NAMES for key in node.keys):
+                tables.append(path.name)
+            assert not (isinstance(node, ast.FunctionDef) and node.name in CLASS_NAMES), where
+    assert tables == ["modelcls.py"]
+
+
 def test_certificates_run_under_python_O():
     # Homology solves for cycle coordinates that must exist; make every solve
     # come back empty and the certificate has to fire, asserts or not.

@@ -580,10 +580,15 @@ def _group(key, support):
     ("homology", _group("9" * 5000, [0, 0]), "bad_degree"),
     ("homology", _complex(differentials={"1 ": [[]]}, support=[0, 1]), "bad_degree"),
     ("classify", {**x2_map_doc(), "components": {" 0": [["2"]]}}, "bad_degree"),
+    ("lift", [x2_map_doc()] * 4, "bad_document"),
+    ("lift", {key: x2_map_doc() for key in "ifg"}, "bad_document"),
+    ("snf", {"matrix": 5}, "bad_document"),
+    ("snf", 5, "bad_document"),
 ], ids=["group-string", "relation-row-int", "relations-int", "groups-string", "groups-list",
         "differentials-list", "components-list", "degree-space", "degree-underscore",
         "degree-non-ascii", "degree-past-digit-limit", "differential-degree-space",
-        "component-degree-space"])
+        "component-degree-space", "lift-not-object", "lift-missing-q", "snf-matrix-int",
+        "snf-bare-int"])
 def test_malformed_document_shapes_exit_2(capsys, tmp_path, command, doc, expected):
     path = write(tmp_path, "doc.json", doc)
     assert error_code(capsys, [command, path]) == (2, expected)
@@ -675,3 +680,31 @@ def test_wide_support_window_is_not_filled(tmp_path, groups, code):
         assert payload["error"]["type"] == "RankCapExceeded"
     else:
         assert [h["degree"] for h in payload["homology"]] == [-1, 0, 1]
+
+
+def _relation_columns(k):
+    """Z^1 modulo k relation columns 2, 4, ..., 2k: the group Z/2."""
+    return _complex(groups={"0": {"generators": 1, "relations": [[2 * j for j in range(1, k + 1)]]}})
+
+
+@pytest.mark.parametrize("k, code", [(64, 0), (65, 2)])
+def test_relation_columns_are_capped(capsys, tmp_path, monkeypatch, k, code):
+    monkeypatch.delenv("ZCHAIN_MAX_RANK", raising=False)
+    exit_code, out = run_cli(capsys, ["homology", write(tmp_path, "c.json", _relation_columns(k))])
+    assert exit_code == code
+    payload = json.loads(out)
+    if code:
+        assert payload["error"]["type"] == "RankCapExceeded"
+    else:
+        assert payload["homology"][1]["invariant_factors"] == ["2"]
+
+
+def test_many_relation_columns_are_refused_in_bounded_memory(tmp_path):
+    # in a subprocess with 1 GiB of address space and a timeout: presenting
+    # the group would take the HNF of a 4000 x 1 matrix with a 4000 x 4000
+    # transform
+    path = write(tmp_path, "wide.json", _relation_columns(4000))
+    proc = subprocess.run([sys.executable, "-m", "zchain.cli", "homology", path],
+                          capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "RankCapExceeded"

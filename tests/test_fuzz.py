@@ -59,6 +59,13 @@ def complex_docs(draw):
 
 
 @st.composite
+def matrix_docs(draw):
+    """An snf document: a bare matrix or {"matrix": ...}."""
+    m = draw(matrices(draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+    return m if draw(st.booleans()) else {"matrix": m}
+
+
+@st.composite
 def map_docs(draw):
     src, dst = draw(complex_docs()), draw(complex_docs())
 
@@ -156,8 +163,11 @@ COFIBRATION_PAIRS = [
     for k in range(4)]
 LIFTS = st.fixed_dictionaries({key: map_docs() for key in "iqfg"})
 
+MATRICES = [[["2", "4"], ["6", "-8"]], {"matrix": [["0", "3", "9"]]}, {"matrix": []}, [[]]]
+
 # argv prefix, valid document tuples, and a strategy for fresh random documents
 COMMANDS = {
+    "snf": (["snf"], [[m] for m in MATRICES], matrix_docs()),
     "lift": (["lift"], [[dict(zip("iqfg", sq["lift"]))] for sq in SQUARES], LIFTS),
     "tensor": (["tensor"], [COMPLEXES[k:k + 2] for k in range(3)], complex_docs()),
     "pushout-product": (["pushout-product"], COFIBRATION_PAIRS, map_docs()),

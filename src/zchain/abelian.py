@@ -225,7 +225,9 @@ class GroupHom:
         return cokernel(self)[0].is_trivial()
 
     def is_iso(self):
-        return self.is_injective() and self.is_surjective()
+        # a finitely generated abelian group is Hopfian: a surjection onto an
+        # isomorphic group is injective, so the kernel is never built
+        return is_isomorphic(self.src, self.dst) and self.is_surjective()
 
 
 def identity_hom(g):

@@ -9,7 +9,8 @@ only shapes and endpoints and trust the rest; ``mk_complex`` and
 correct by construction and built unchecked; ``block_complex`` certifies
 d o d = 0 and ``induced_map`` that its cycle solve succeeds.  Homology is
 returned as a presented subquotient together with cycle lifts, which is
-enough to compute induced maps exactly.
+enough to compute induced maps exactly; ``is_acyclic`` needs no homology
+group and reads one presentation per degree off a free model instead.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .abelian import (
     trivial_group,
     zero_hom,
 )
-from .intlinalg import IntMatrix, hstack, kron, solve
+from .intlinalg import IntMatrix, _eliminate, hstack, kron, solve, vstack
 
 
 class ChainComplex:
@@ -75,7 +76,10 @@ class ChainComplex:
         return range(self.support[0] - pad, self.support[1] + 1 + pad)
 
     def group(self, n) -> FgAbGroup:
-        return self._groups.get(n, trivial_group())
+        g = self._groups.get(n)
+        if g is None:
+            g = trivial_group()
+        return g
 
     def diff(self, n) -> GroupHom:
         d = self._diffs.get(n)
@@ -116,7 +120,39 @@ class ChainComplex:
         return self._homology[n]
 
     def is_acyclic(self):
-        return all(self.homology(n).group.is_trivial() for n in self.degrees())
+        """H_n = 0 in every degree, decided without a homology group.
+
+        C_n is Z^{g_n} modulo the columns of B_n, the r_n HNF basis vectors
+        of its relations, so B_n is injective.  With d_n B_n = B_{n-1} e_n
+        and d_{n-1} d_n = B_{n-2} h_n, the twisted cone T_n = Z^{g_n} +
+        Z^{r_{n-1}}, D(x, y) = (d x + B y, -e y - h x), is a complex of free
+        groups with H(T) = H(C).  H_n(T) = 0 exactly when coker D_{n+1} is
+        torsion-free of free rank equal to rank D_n.
+        """
+        rank_below = 0  # rank D_n; D_lo maps into T_{lo-1} = 0
+        for n in self.degrees():
+            q = mk_group(self.group(n).ngens + len(self.group(n - 1).rel_rows),
+                         self._twisted_diff(n + 1))
+            if q.invariant_factors or q.free_rank != rank_below:
+                return False
+            rank_below = len(q.rel_rows)
+        return True
+
+    def _twisted_diff(self, n):
+        """D_n: T_n -> T_{n-1} of the twisted cone (see is_acyclic); h_n and
+        e_{n-1} are the quotients of d_{n-1} [d_n | B_{n-1}] by B_{n-2}."""
+        top = self.diff(n).matrix
+        g = self.group(n - 1)
+        if g.rel_rows:
+            top = hstack([top, IntMatrix.from_cols(g.rel_rows, rows=g.ngens)])
+        below = self.group(n - 2)
+        if not below.rel_rows:
+            return top
+        X = list((self.diff(n - 1).matrix @ top).data)
+        he = _eliminate(X, below.rel_rows, below.rel_pivots)
+        certify.found(None if any(map(any, X)) else he, "is_acyclic", n,
+                      "d o d and d B must land in the relations")
+        return vstack([top, -IntMatrix(len(he), top.cols, he)])
 
 
 def mk_complex(support, groups, diffs):

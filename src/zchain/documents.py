@@ -21,6 +21,7 @@ from .errors import (
     IllDefined,
     NotAChainMap,
     NotAComplex,
+    PreconditionFailed,
     RankCapExceeded,
 )
 from .abelian import mk_group
@@ -240,7 +241,9 @@ def doc_to_map(doc, max_rank=None):
 
 
 def doc_to_lift_problem(doc, max_rank):
-    """The lifting square of a lift document: the maps i, q, f and g."""
+    """The lifting square of a lift document: the maps i, q, f and g, whose
+    corners must meet and whose square must commute (bad_square, with the
+    degree)."""
     if not isinstance(doc, dict):
         raise DocumentError("lift problem must be an object with i, q, f, g",
                             code="bad_document")
@@ -250,4 +253,8 @@ def doc_to_lift_problem(doc, max_rank):
             raise DocumentError(f"lift problem is missing the map {key!r}",
                                 code="bad_document")
         maps[key] = doc_to_map(doc[key], max_rank=max_rank)
-    return LiftProblem(**maps)
+    try:
+        return LiftProblem(**maps)
+    except PreconditionFailed as e:
+        raise DocumentError(f"not a lifting square: {e}", code="bad_square",
+                            degree=e.degree) from e

@@ -65,8 +65,9 @@ class NotCofibration(ZchainError):
     pass
 
 
-class PreconditionFailed(ZchainError):
-    pass
+class PreconditionFailed(DegreeError):
+    """An input violates what an operation requires, such as a lifting
+    square that does not commute."""
 
 
 class CertificateFailed(ZchainError):

@@ -57,7 +57,9 @@ from .monoidal_proper import pullback
 
 @dataclass
 class LiftProblem:
-    """Commutative square q o f = g o i, checked at construction."""
+    """Commutative square q o f = g o i, checked at construction; a failure
+    names the least degree where the corners differ or the square does not
+    commute."""
 
     i: ChainMap
     q: ChainMap
@@ -65,12 +67,25 @@ class LiftProblem:
     g: ChainMap
 
     def __post_init__(self):
-        if self.f.src != self.i.src or self.f.dst != self.q.src:
-            raise PreconditionFailed("top map endpoints do not match the square")
-        if self.g.src != self.i.dst or self.g.dst != self.q.dst:
-            raise PreconditionFailed("bottom map endpoints do not match the square")
-        if (self.q @ self.f) != (self.g @ self.i):
-            raise PreconditionFailed("square does not commute")
+        for message, corners in (
+                ("top map endpoints do not match the square",
+                 ((self.f.src, self.i.src), (self.f.dst, self.q.src))),
+                ("bottom map endpoints do not match the square",
+                 ((self.g.src, self.i.dst), (self.g.dst, self.q.dst)))):
+            for a, b in corners:
+                if a != b:
+                    raise PreconditionFailed(message, _first_difference(a, b))
+        q, f, g, i = self.q.component, self.f.component, self.g.component, self.i.component
+        for n in self.i.src.degrees():
+            if q(n) @ f(n) != g(n) @ i(n):
+                raise PreconditionFailed("square does not commute", n)
+
+
+def _first_difference(a, b):
+    """The least degree where the complexes a != b differ in a group or a
+    differential."""
+    return next(n for n in sorted(set(a.degrees()) | set(b.degrees()))
+                if a.group(n) != b.group(n) or a.diff(n) != b.diff(n))
 
 
 def nullhomotopy(k: ChainMap) -> Homotopy:

@@ -4,11 +4,16 @@ A map is a cofibration when injective with degreewise-free cokernel, a
 fibration when surjective, a weak equivalence when a quasi-isomorphism; the
 acyclic variants combine those.  All six underlying booleans are exact.
 Injectivity, surjectivity, freeness and acyclicity are read off the kernel
-and cokernel complexes.  Whether f is a quasi-isomorphism comes from the long
-exact homology sequence of 0 -> ker f -> A -> B -> coker f -> 0 (Weibel 1994,
-Thm 1.3.1) when f is injective or surjective: an injective f is one exactly
-when its cokernel is acyclic, a surjective f exactly when its kernel is.  For
-a map that is neither, it comes from the induced maps on homology.
+and cokernel complexes.  Acyclicity builds no homology group: it is read off
+the twisted cone of the complex's two-stage free model
+(``ChainComplex.is_acyclic``).  Whether f is a quasi-isomorphism comes from
+the long exact homology sequence of 0 -> ker f -> A -> B -> coker f -> 0
+(Weibel 1994, Thm 1.3.1) when f is injective or surjective: an injective f
+is one exactly when its cokernel is acyclic, a surjective f exactly when its
+kernel is.  For a map that is neither, it comes from the induced maps on
+homology, each an isomorphism exactly when it is a surjection between
+isomorphic groups (finitely generated abelian groups are Hopfian,
+``GroupHom.is_iso``), so no kernel is built.
 
 For a degreewise-free complex the differential splits as A_n = Y_n + Z_n
 with d(y + z) = d'(y), d' injective and Z_n the cycle subgroup; the complex

@@ -22,6 +22,7 @@ from zchain.abelian import (
 )
 from zchain.errors import IllDefined, InfiniteGroup, NotFree
 from zchain.intlinalg import IntMatrix, lattice_contains, snf, solve
+from zchain.randgen import random_hom, random_unimodular
 
 from helpers import ext1, tensor_hom
 
@@ -277,3 +278,38 @@ def test_lift_free_hom():
 def test_isomorphism_test():
     assert is_isomorphic(mk_group(2, IntMatrix.from_rows([[2, 0], [0, 3]])), Zmod(6))
     assert not is_isomorphic(Zmod(4), DirectSum([Zmod(2), Zmod(2)]).group)
+
+
+def _kernel_based_is_iso(h):
+    return kernel(h)[0].is_trivial() and cokernel(h)[0].is_trivial()
+
+
+def test_is_iso_agrees_with_kernel_test():
+    # is_iso never builds the kernel: a finitely generated abelian group is
+    # Hopfian, so a surjection onto an isomorphic group is an isomorphism
+    Z = free_group(1)
+    homs = [mk_hom(Z, Z, [[k]]) for k in (-2, -1, 0, 1, 2)]       # Z --k--> Z
+    homs += [mk_hom(Zmod(4), Zmod(4), [[k]]) for k in range(4)]
+    g = DirectSum([Zmod(2), Zmod(4)]).group
+    endos = [mk_hom(g, g, [[a, b], [c, d]])
+             for a in (0, 1) for b in (0, 1) for c in (0, 2) for d in range(4)]
+    assert sum(h.is_iso() for h in endos) == 8                     # |Aut(Z/2 + Z/4)|
+    homs += endos
+    rng = random.Random("is-iso-agreement")
+    for _ in range(400):
+        groups = []
+        for _ in range(2):
+            k, m = rng.randrange(0, 4), rng.randrange(0, 4)
+            groups.append(mk_group(k, IntMatrix(k, m, [[rng.randrange(-3, 4) for _ in range(m)]
+                                                       for _ in range(k)])))
+        src = groups[0]
+        # an isomorphic copy of the source: same group, generators mixed
+        u = random_unimodular(rng, src.ngens)
+        copy = mk_group(src.ngens, u @ src.relations)
+        for dst in (groups[1], src, copy):
+            homs.append(random_hom(rng, src, dst))
+    seen = set()
+    for h in homs:
+        assert h.is_iso() == _kernel_based_is_iso(h), h
+        seen.add((is_isomorphic(h.src, h.dst), h.is_iso()))
+    assert seen == {(False, False), (True, False), (True, True)}

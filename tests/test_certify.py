@@ -140,7 +140,7 @@ def test_corrupted_contraction_fails_the_homotopy_identity(monkeypatch):
 def test_verify_counterexample_names_construction_and_degree(monkeypatch):
     monkeypatch.setattr("zchain.complexes.solve", lambda *args: None)
     report = run_verify("certify", 1)
-    entry = next(e for e in report["axioms"] if e["name"] == "factorization")
+    entry = next(e for e in report["axioms"] if e["name"] == "cofibrant_replacement")
     assert entry["status"] == "fail"
     detail = entry["counterexample"]["detail"]
     assert detail.startswith("CertificateFailed: ")

@@ -226,6 +226,33 @@ def test_lift_command(capsys, tmp_path):
     assert payload["lift"]["components"]["0"] == [["1"]]
 
 
+def _map_on_z(k, support=(0, 0)):
+    """Multiplication by k on Z, in every degree of the support, differentials zero."""
+    lo, hi = support
+    z = {"schema_version": "1", "support": [lo, hi],
+         "groups": {str(n): {"generators": 1, "relations": []} for n in range(lo, hi + 1)},
+         "differentials": {}}
+    return {"schema_version": "1", "source": z, "target": z,
+            "components": {str(n): [[str(k)]] for n in range(lo, hi + 1)}}
+
+
+@pytest.mark.parametrize("maps, degree", [
+    ({"f": _map_on_z(2), "i": _map_on_z(1), "q": _map_on_z(1), "g": _map_on_z(1)}, 0),
+    ({"f": _map_on_z(2, (0, 1)), "i": _map_on_z(1, (0, 1)), "q": _map_on_z(1, (0, 1)),
+      "g": {**_map_on_z(1, (0, 1)), "components": {"0": [["1"]], "1": [["3"]]}}}, 0),
+    ({"f": _map_on_z(1, (0, 1)), "i": _map_on_z(1, (0, 1)), "q": _map_on_z(1, (0, 1)),
+      "g": {**_map_on_z(1, (0, 1)), "components": {"0": [["1"]], "1": [["3"]]}}}, 1),
+    ({"f": _map_on_z(1), "i": _map_on_z(1), "q": _map_on_z(1, (0, 1)),
+      "g": _map_on_z(1, (0, 1))}, 1),
+], ids=["times-2", "first-of-two", "second-degree", "corner"])
+def test_lift_square_that_fails_names_its_degree(capsys, tmp_path, maps, degree):
+    # an f that misses q's source, or a square that does not commute, is a
+    # malformed lift document: exit 2 with a code and the failing degree
+    code, out = run_cli(capsys, ["lift", write(tmp_path, "lift.json", maps)])
+    error = json.loads(out)["error"]
+    assert (code, error["code"], error["degree"]) == (2, "bad_square", degree)
+
+
 def test_tensor_command(capsys, tmp_path):
     p1 = write(tmp_path, "a.json", s2_doc())
     doc3 = {

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from zchain import abelian, complexes
 from zchain.abelian import free_group, identity_hom, mk_hom
 from zchain.complexes import (
+    cokernel_complex,
     dsum_complex,
     identity_chain_map,
     is_quasi_iso,
+    kernel_complex,
     mk_chain_map,
     mk_complex,
     zero_chain_map,
@@ -18,7 +21,9 @@ from zchain.modelcls import classify, is_contractible, split_free_complex
 from zchain.randgen import (
     random_acyclic_fibration,
     random_finite_chain_map,
+    random_finite_complex,
     random_free_cofibration,
+    random_free_complex,
     random_surjective_non_weq,
     rng_for,
 )
@@ -262,3 +267,55 @@ def _random_free_complex(rng):
         prev_d = m
         diffs[n] = m
     return mk_complex((lo, lo + length), groups, diffs)
+
+
+def _homology_acyclic(c):
+    return all(c.homology(n).group.is_trivial() for n in c.degrees())
+
+
+def _acyclicity_cases():
+    """Complexes whose acyclicity classify decides: the kernel and cokernel
+    complexes of the zoo and of both factorizations, and random complexes
+    with torsion."""
+    maps = _classification_zoo(random.Random("acyclic-agreement"))
+    for k in range(8):
+        f = random_finite_chain_map(rng_for("acyclic-agreement", k), max_order=4, max_pieces=2)
+        for fact in (factor_cof_afb(f), factor_acf_fib(f)):
+            maps.extend([fact.left, fact.right])
+    out = [derive(f)[0] for f in maps for derive in (kernel_complex, cokernel_complex)]
+    for k in range(40):
+        rng = rng_for("acyclic-agreement-complex", k)
+        out.append(random_finite_complex(rng, max_order=6))
+        out.append(random_free_complex(rng))
+    # a torsion relation that the differential reaches only modulo relations
+    z4 = Zmod(4)
+    out.append(mk_complex((0, 2), {0: Zmod(2), 1: z4, 2: z4},
+                          {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[2]])}))
+    return out
+
+
+def test_is_acyclic_agrees_with_homology():
+    seen = set()
+    for c in _acyclicity_cases():
+        assert c.is_acyclic() == _homology_acyclic(c), c
+        seen.add((c.is_acyclic(), c.is_degreewise_free()))
+    assert seen == {(acyclic, free) for acyclic in (True, False) for free in (True, False)}
+
+
+def test_is_acyclic_builds_no_homology(monkeypatch):
+    cases = _acyclicity_cases()
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+    counted(complexes, "_homology_at")
+    counted(complexes, "preimage_lattice")
+    counted(abelian, "preimage_lattice")
+    for c in cases:
+        c.is_acyclic()
+    assert calls == []
+    for c in cases:  # the counters do see the homology path
+        _homology_acyclic(c)
+    assert {"_homology_at", "preimage_lattice"} <= set(calls)

@@ -219,7 +219,9 @@ class GroupHom:
         return self.dst.first_nonzero(self.matrix) is None
 
     def is_injective(self):
-        return kernel(self)[0].is_trivial()
+        # the preimage of the target relations always contains the source
+        # relations, and both bases are canonical HNF rows
+        return preimage_lattice(self.matrix, self.dst.rel_rows).columns() == list(self.src.rel_rows)
 
     def is_surjective(self):
         return cokernel(self)[0].is_trivial()

@@ -339,9 +339,12 @@ def main(argv=None):
         cap = _max_rank()
         payload, code = args.fn(args, cap)
     except ZchainError as e:
-        _emit({"error": {"type": type(e).__name__, "message": str(e),
-                         **getattr(e, "details", {})}}, fmt)
-        return 1 if isinstance(e, CertificateFailed) else 2
+        error = {"type": type(e).__name__, "message": str(e), **getattr(e, "details", {})}
+        failed = isinstance(e, CertificateFailed)
+        if not failed:  # an input error: it names a code, its own or its class's
+            error.setdefault("code", e.code)
+        _emit({"error": error}, fmt)
+        return 1 if failed else 2
     except Exception as e:  # a bug: its traceback goes to stderr
         traceback.print_exc()
         _emit({"error": {"type": "InternalError", "exception": type(e).__name__,

@@ -24,6 +24,7 @@ from .abelian import (
     DirectSum,
     FgAbGroup,
     GroupHom,
+    cokernel,
     factor_through,
     identity_hom,
     kernel,
@@ -94,16 +95,19 @@ class ChainComplex:
         return all(not self.group(n).invariant_factors for n in self.degrees())
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, ChainComplex):
             return NotImplemented
-        if self.support != other.support:
-            return False
-        for n in self.degrees():
-            if self.group(n) != other.group(n) or self.diff(n) != other.diff(n):
-                return False
-        return True
+        return self.support == other.support and self.first_difference(other) is None
+
+    def first_difference(self, other):
+        """The least degree where self and other differ in a group or a
+        differential, or None when they are equal."""
+        if self is other:
+            return None
+        ends = [n for c in (self, other) if c.support is not None for n in c.support]
+        return next((n for n in range(min(ends, default=0), max(ends, default=-1) + 1)
+                     if self.group(n) != other.group(n) or self.diff(n) != other.diff(n)),
+                    None)
 
     def __hash__(self):
         return hash(self.support)
@@ -206,12 +210,15 @@ class ChainMap:
         comps = {n: self.component(n) @ other.component(n) for n in degrees}
         return ChainMap(other.src, self.dst, comps)
 
+    def degrees(self):
+        """The degrees of the source and the target, ascending."""
+        return sorted(set(self.src.degrees()) | set(self.dst.degrees()))
+
     def __add__(self, other):
         if self.src != other.src or self.dst != other.dst:
             raise DimensionMismatch("chain map sum shape mismatch")
-        degrees = set(self.src.degrees()) | set(self.dst.degrees())
         return ChainMap(self.src, self.dst,
-                        {n: self.component(n) + other.component(n) for n in degrees})
+                        {n: self.component(n) + other.component(n) for n in self.degrees()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -224,8 +231,18 @@ class ChainMap:
             return NotImplemented
         if self.src != other.src or self.dst != other.dst:
             return False
-        degrees = set(self.src.degrees()) | set(self.dst.degrees())
-        return all((self.component(n) - other.component(n)).is_zero() for n in degrees)
+        return self.first_difference(other) is None
+
+    def first_difference(self, other):
+        """(degree, generator, canonical value) of the least generator on
+        which self and other, maps between the same complexes, differ, or
+        None when they are equal."""
+        for n in self.degrees():
+            bad = self.dst.group(n).first_nonzero(
+                self.component(n).matrix - other.component(n).matrix)
+            if bad is not None:
+                return (n, *bad)
+        return None
 
     def __hash__(self):
         return hash((self.src.support, self.dst.support))
@@ -234,7 +251,7 @@ class ChainMap:
         return f"ChainMap({self.src!r} -> {self.dst!r})"
 
     def is_zero(self):
-        return all(self.component(n).is_zero() for n in set(self.src.degrees()) | set(self.dst.degrees()))
+        return all(self.component(n).is_zero() for n in self.degrees())
 
 
 def memoized_on_map(fn):
@@ -253,8 +270,8 @@ def mk_chain_map(src, dst, components):
     f = ChainMap(src, dst, components)
     for n, c in f._components.items():
         require_well_defined(c, n)
-    degrees = set(src.degrees()) | set(dst.degrees())
-    for n in sorted(degrees | {d + 1 for d in degrees}):
+    degrees = f.degrees()
+    for n in sorted({*degrees, *(d + 1 for d in degrees)}):
         lhs = f.component(n - 1) @ src.diff(n)
         rhs = dst.diff(n) @ f.component(n)
         if not (lhs - rhs).is_zero():
@@ -411,38 +428,23 @@ def dsum_chain_maps(maps):
 @memoized_on_map
 def kernel_complex(f):
     """Degreewise kernels of a chain map, with the inclusion."""
-    groups = {}
-    incls = {}
-    for n in f.src.degrees():
-        k, incl = kernel(f.component(n))
-        groups[n] = k
-        incls[n] = incl
-    diffs = {}
-    if f.src.support is not None:
-        lo, hi = f.src.support
-        for n in range(lo + 1, hi + 1):
-            target_incl = incls.get(n - 1, zero_hom(trivial_group(), f.src.group(n - 1)))
-            diffs[n] = factor_through(target_incl, f.src.diff(n) @ incls[n])
-    kc = ChainComplex(groups, diffs, f.src.support)
-    incl_map = ChainMap(kc, f.src, {n: incls[n] for n in kc.degrees()})
-    return kc, incl_map
+    incls = {n: kernel(f.component(n))[1] for n in f.src.degrees()}
+    kc = ChainComplex({n: incl.src for n, incl in incls.items()},
+                      {n: factor_through(incls[n - 1], f.src.diff(n) @ incls[n])
+                       for n in f.src.degrees()[1:]}, f.src.support)
+    return kc, ChainMap(kc, f.src, {n: incls[n] for n in kc.degrees()})
 
 
 @memoized_on_map
 def cokernel_complex(f):
     """Degreewise cokernels of a chain map, with the projection."""
-    groups = {}
-    for n in f.dst.degrees():
-        q = mk_group(f.dst.group(n).ngens,
-                     hstack([f.dst.group(n).relations, f.component(n).matrix]))
-        groups[n] = q
-    diffs = {}
-    if f.dst.support is not None:
-        lo, hi = f.dst.support
-        for n in range(lo + 1, hi + 1):
-            diffs[n] = f.dst.diff(n).matrix
-    cc = ChainComplex(groups, diffs, f.dst.support)
-    proj = ChainMap(f.dst, cc, {n: IntMatrix.identity(f.dst.group(n).ngens) for n in cc.degrees()})
+    # each cokernel is presented on f.dst's own group (an equal endpoint of
+    # the component may carry other relation columns)
+    pieces = {n: cokernel(GroupHom(f.src.group(n), f.dst.group(n), f.component(n).matrix))
+              for n in f.dst.degrees()}
+    cc = ChainComplex({n: q for n, (q, _) in pieces.items()},
+                      {n: f.dst.diff(n).matrix for n in f.dst.degrees()[1:]}, f.dst.support)
+    proj = ChainMap(f.dst, cc, {n: p for n, (_, p) in pieces.items()})
     return cc, proj
 
 

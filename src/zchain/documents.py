@@ -215,7 +215,7 @@ def map_to_doc(f: ChainMap):
         "target": complex_to_doc(f.dst),
         "components": {},
     }
-    for n in sorted(set(f.src.degrees()) | set(f.dst.degrees())):
+    for n in f.degrees():
         doc["components"][str(n)] = matrix_to_json(f.component(n).matrix)
     return doc
 

@@ -1,8 +1,17 @@
 """Exception types shared across the package."""
 
+import re
+
 
 class ZchainError(Exception):
-    """Base class for all structured errors raised by this package."""
+    """Base class for all structured errors raised by this package; each
+    class's ``code`` is the snake_case of its name."""
+
+    code = "zchain_error"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
 
 
 class DimensionMismatch(ZchainError, ValueError):

@@ -109,9 +109,6 @@ class IntMatrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.data)
 

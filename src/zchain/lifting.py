@@ -50,7 +50,7 @@ from .complexes import (
     suspend,
     zero_chain_map,
 )
-from .intlinalg import IntMatrix, inverse_unimodular, vstack
+from .intlinalg import IntMatrix, vstack
 from .modelcls import Homotopy, classify, is_contractible, split_free_complex
 from .monoidal_proper import pullback
 
@@ -73,19 +73,12 @@ class LiftProblem:
                 ("bottom map endpoints do not match the square",
                  ((self.g.src, self.i.dst), (self.g.dst, self.q.dst)))):
             for a, b in corners:
-                if a != b:
-                    raise PreconditionFailed(message, _first_difference(a, b))
-        q, f, g, i = self.q.component, self.f.component, self.g.component, self.i.component
-        for n in self.i.src.degrees():
-            if q(n) @ f(n) != g(n) @ i(n):
-                raise PreconditionFailed("square does not commute", n)
-
-
-def _first_difference(a, b):
-    """The least degree where the complexes a != b differ in a group or a
-    differential."""
-    return next(n for n in sorted(set(a.degrees()) | set(b.degrees()))
-                if a.group(n) != b.group(n) or a.diff(n) != b.diff(n))
+                n = a.first_difference(b)
+                if n is not None:
+                    raise PreconditionFailed(message, n)
+        bad = (self.q @ self.f).first_difference(self.g @ self.i)
+        if bad is not None:
+            raise PreconditionFailed("square does not commute", bad[0])
 
 
 def nullhomotopy(k: ChainMap) -> Homotopy:
@@ -178,30 +171,28 @@ def split_ses(p: ChainMap) -> ChainMap:
 def section_over_contractible(r: ChainMap) -> ChainMap:
     """Section of any surjection onto a contractible degreewise-free complex.
 
-    Split C = Y + dY, lift the Y part through r, extend by s(dy) = d s(y).
+    Split C = Y + dY and let sigma lift the Y part through r, zero on Z;
+    with the contraction h, s = sigma + d sigma h extends it by
+    s(dy) = d s(y), since h carries dy to y.
     """
     c = r.dst
     split = split_free_complex(c)  # NotFree on torsion
-    if is_contractible(c, split) is None:
+    h = is_contractible(c, split)
+    if h is None:
         raise NotContractible("target complex is not contractible")
     if not cokernel_complex(r)[0].is_zero():
         raise PreconditionFailed("map is not surjective")
-    stilde = {}
-    for n in c.degrees():
-        target = c.group(n).canon_cols(split.degrees[n].y_amb)
-        stilde[n] = certify.found(preimage(r.component(n), target), "section_over_contractible",
-                                  n, "surjection must hit the free basis")
-    comps = {}
+    sigma = {}
     for n in c.degrees():
         sd = split.degrees[n]
-        s_on_y = stilde[n] @ sd.y_coords
-        if sd.z_cols.cols:
-            dpr = split.dprime[n + 1]
-            inv = inverse_unimodular(dpr.matrix)
-            s_on_z = (r.src.diff(n + 1).matrix @ stilde[n + 1] @ inv) @ sd.z_coords
-            comps[n] = s_on_y + s_on_z
-        else:
-            comps[n] = s_on_y
+        target = c.group(n).canon_cols(sd.y_amb)
+        sigma[n] = certify.found(preimage(r.component(n), target), "section_over_contractible",
+                                 n, "surjection must hit the free basis") @ sd.y_coords
+    comps = {}
+    for n in c.degrees():
+        comps[n] = sigma[n]
+        if n + 1 in sigma:  # above the support h, and with it d sigma h, is zero
+            comps[n] = sigma[n] + r.src.diff(n + 1).matrix @ sigma[n + 1] @ h.component(n)
     s = ChainMap(c, r.src, comps)
     certify.chain_map(s, "section_over_contractible")
     certify.equal_maps(r @ s, identity_chain_map(c), "section_over_contractible",

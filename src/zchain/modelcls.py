@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import certify
 from .errors import NotFree
-from .abelian import FgAbGroup, GroupHom, free_group, is_free
+from .abelian import FgAbGroup, GroupHom, free_group
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -96,7 +96,6 @@ def classify(f: ChainMap) -> MapClassification:
     """
     kc, _ = kernel_complex(f)
     cc, _ = cokernel_complex(f)
-    coker_free = all(is_free(cc.group(n)) for n in cc.degrees())
     injective, surjective = kc.is_zero(), cc.is_zero()
     kernel_acyclic, coker_acyclic = kc.is_acyclic(), cc.is_acyclic()
     if injective:
@@ -108,7 +107,7 @@ def classify(f: ChainMap) -> MapClassification:
     return MapClassification(
         injective=injective,
         surjective=surjective,
-        coker_degreewise_free=coker_free,
+        coker_degreewise_free=cc.is_degreewise_free(),
         quasi_iso=quasi_iso,
         kernel_acyclic=kernel_acyclic,
         coker_acyclic=coker_acyclic,

@@ -1,7 +1,9 @@
 """Independent cross-check routines used by the tests.
 
 Everything here works over exact rationals (fractions.Fraction) or by direct
-enumeration, deliberately sharing no code with the library under test.
+enumeration, deliberately sharing no code with the library under test.  The
+routines that take library objects read only their fields (matrices,
+relations, supports, splitting coordinates).
 """
 
 from fractions import Fraction
@@ -148,3 +150,89 @@ def in_row_lattice(v, rows, ncols):
 def matmul_naive(a, b, inner, ncols):
     """Row lists of a @ b by the textbook triple loop (a has `inner` columns)."""
     return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(ncols)] for row in a]
+
+
+def inverse_rational(rows):
+    """Inverse of an invertible square integer matrix by Gauss-Jordan over Q,
+    as integer rows; raises ValueError when the inverse is not integral."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if m[i][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    inv = [r[n:] for r in m]
+    if any(x.denominator != 1 for r in inv for x in r):
+        raise ValueError("inverse is not integral")
+    return [[int(x) for x in r] for r in inv]
+
+
+def _columns(m):
+    return [[row[j] for row in m.data] for j in range(m.cols)]
+
+
+def _same_quotient(g, h):
+    """Same generator count and the same relation lattice, by membership of
+    every relation of each in the other's lattice."""
+    gr, hr = _columns(g.relations), _columns(h.relations)
+    return (g.ngens == h.ngens
+            and all(in_row_lattice(v, hr, g.ngens) for v in gr)
+            and all(in_row_lattice(v, gr, g.ngens) for v in hr))
+
+
+def first_differing_column(a, b, target):
+    """Index of the first column on which the matrices a and b differ modulo
+    the relations of the group target, or None."""
+    rels = _columns(target.relations)
+    for j, (u, v) in enumerate(zip(_columns(a), _columns(b))):
+        if not in_row_lattice([x - y for x, y in zip(u, v)], rels, target.ngens):
+            return j
+    return None
+
+
+def complex_first_difference(a, b):
+    """The least degree where the complexes a and b differ in a group or a
+    differential, by a loop over the degrees of both supports."""
+    for n in sorted(set(a.degrees()) | set(b.degrees())):
+        da, db = a.diff(n), b.diff(n)
+        if (not _same_quotient(a.group(n), b.group(n)) or not _same_quotient(da.dst, db.dst)
+                or first_differing_column(da.matrix, db.matrix, da.dst) is not None):
+            return n
+    return None
+
+
+def map_first_difference(f, g):
+    """(degree, generator) of the least generator on which the chain maps f
+    and g, between the same complexes, differ, by a loop over the degrees of
+    both complexes."""
+    for n in sorted(set(f.src.degrees()) | set(f.dst.degrees())):
+        j = first_differing_column(f.component(n).matrix, g.component(n).matrix, f.dst.group(n))
+        if j is not None:
+            return n, j
+    return None
+
+
+def section_by_inverses(r, split, y_lifts):
+    """Integer rows, per degree, of the section of r onto the contractible
+    free complex split.complex as d y_lift (d')^-1 on Z: the lift of the Y
+    part is y_lifts[n] (ambient of r.src <- Y_n), and on Z_n, the image of
+    d': Y_{n+1} -> Z_n, the section is d of the lift of (d')^-1."""
+    c = split.complex
+    out = {}
+    for n in c.degrees():
+        sd = split.degrees[n]
+        s = matmul_naive(y_lifts[n].data, sd.y_coords.data, sd.y_coords.rows, sd.y_coords.cols)
+        if sd.z_cols.cols:
+            d = r.src.diff(n + 1).matrix
+            dy = matmul_naive(d.data, y_lifts[n + 1].data, d.cols, y_lifts[n + 1].cols)
+            inv = inverse_rational(split.dprime[n + 1].matrix.data)
+            t = matmul_naive(matmul_naive(dy, inv, len(inv), len(inv)), sd.z_coords.data,
+                             sd.z_coords.rows, sd.z_coords.cols)
+            s = [[x + y for x, y in zip(p, q)] for p, q in zip(s, t)]
+        out[n] = s
+    return out

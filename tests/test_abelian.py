@@ -313,3 +313,34 @@ def test_is_iso_agrees_with_kernel_test():
         assert h.is_iso() == _kernel_based_is_iso(h), h
         seen.add((is_isomorphic(h.src, h.dst), h.is_iso()))
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_is_injective_agrees_with_kernel_test():
+    # is_injective builds no kernel group: h is injective exactly when the
+    # preimage of the target relations is the source relation lattice
+    Z = free_group(1)
+    homs = [mk_hom(Z, Z, [[k]]) for k in (-2, -1, 0, 1, 2)]       # Z --k--> Z
+    g = DirectSum([Zmod(2), Zmod(4)]).group
+    endos = [mk_hom(g, g, [[a, b], [c, d]])
+             for a in (0, 1) for b in (0, 1) for c in (0, 2) for d in range(4)]
+    assert len(endos) == 32
+    assert sum(h.is_injective() for h in endos) == 8                # |Aut(Z/2 + Z/4)|
+    homs += endos
+    rng = random.Random("is-injective-agreement")
+    for _ in range(400):
+        groups = []
+        for _ in range(2):
+            k, m = rng.randrange(0, 4), rng.randrange(0, 4)
+            groups.append(mk_group(k, IntMatrix(k, m, [[rng.randrange(-3, 4) for _ in range(m)]
+                                                       for _ in range(k)])))
+        src = groups[0]
+        # an isomorphic copy of the source, and a larger group it embeds in
+        u = random_unimodular(rng, src.ngens)
+        copy = mk_group(src.ngens, u @ src.relations)
+        for dst in (groups[1], src, copy, DirectSum([src, groups[1]]).group):
+            homs.append(random_hom(rng, src, dst))
+    seen = set()
+    for h in homs:
+        assert h.is_injective() == kernel(h)[0].is_trivial(), h
+        seen.add((is_isomorphic(h.src, h.dst), h.is_injective()))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

@@ -735,3 +735,26 @@ def test_many_relation_columns_are_refused_in_bounded_memory(tmp_path):
                           capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "RankCapExceeded"
+
+
+def _identity_map_doc():
+    doc = x2_map_doc()
+    doc["components"]["0"] = [["1"]]
+    return doc
+
+
+@pytest.mark.parametrize("argv, docs, cap, code", [
+    (["proper-check", "--kind", "pushout"], [x2_map_doc(), _identity_map_doc()], None,
+     "precondition_failed"),
+    (["factorize", "--mode", "acf-fib"], [x2_map_doc()], None, "infinite_group"),
+    (["homology"], [s2_doc()], "0", "bad_env"),
+    (["homology"], [{**s2_doc(), "groups": {"0": {"generators": 3, "relations": []}}}], "2",
+     "rank_cap_exceeded"),
+], ids=["not-a-cofibration", "infinite-group", "own-code-kept", "over-cap"])
+def test_every_input_error_names_a_code(capsys, tmp_path, monkeypatch, argv, docs, cap, code):
+    if cap is not None:
+        monkeypatch.setenv("ZCHAIN_MAX_RANK", cap)
+    paths = [write(tmp_path, f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    status, out = run_cli(capsys, argv + paths)
+    assert status == 2
+    assert json.loads(out)["error"]["code"] == code

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from zchain.abelian import (
+    GroupHom,
     free_group,
     identity_hom,
     is_isomorphic,
@@ -12,6 +13,7 @@ from zchain.abelian import (
     zero_hom,
 )
 from zchain.complexes import (
+    ChainComplex,
     ChainMap,
     block_complex,
     cone,
@@ -34,7 +36,10 @@ from zchain.complexes import (
     zero_complex,
 )
 from zchain.errors import CertificateFailed, NotAChainMap, NotAComplex
-from zchain.intlinalg import IntMatrix
+from zchain.intlinalg import IntMatrix, blockdiag, hstack, vstack
+from zchain.randgen import random_finite_chain_map, rng_for
+
+from oracles import complex_first_difference, map_first_difference
 
 from helpers import (
     Zmod,
@@ -294,6 +299,19 @@ def test_kernel_cokernel_complexes():
     assert cc.is_zero()
 
 
+def test_cokernel_complex_is_presented_on_the_target_groups():
+    # Z/2 presented by the relation columns (2, 4): equal to the target's
+    # group, but with other relation columns
+    z2 = mk_group(1, IntMatrix.from_rows([[2]]))
+    z2_other = mk_group(1, IntMatrix.from_rows([[2, 4]]))
+    assert z2_other == z2
+    src, dst = sphere(0, free_group(1)), sphere(0, z2)
+    f = ChainMap(src, dst, {0: GroupHom(free_group(1), z2_other, IntMatrix.from_rows([[0]]))})
+    cc, proj = cokernel_complex(f)
+    assert cc.group(0).relations == IntMatrix.from_rows([[2, 0]])
+    assert proj.component(0).src is dst.group(0)
+
+
 def test_dsum_complex():
     r2 = r2_complex()
     d = disk(2, Zmod(3))
@@ -356,3 +374,59 @@ def mapping_cone(f):
         }
         diffs[n] = layouts[n - 1].block_matrix(layouts[n], blocks)
     return mk_complex((lo, hi), {n: layouts[n].group for n in range(lo, hi + 1)}, diffs)
+
+
+def _changed_in_one_degree(rng, a, n):
+    """a changed in degree n only: its differential doubled, or one more
+    generator, trivial or free, in its group."""
+    groups = {m: a.group(m) for m in a.degrees()}
+    diffs = {m: a.diff(m).matrix for m in a.degrees()}
+    if n in groups and rng.random() < 0.5:
+        diffs[n] = diffs[n].scale(2)
+    else:
+        g = a.group(n)
+        relation = IntMatrix.from_rows([[rng.choice([0, 1])]])
+        groups[n] = mk_group(g.ngens + 1, blockdiag([g.relations, relation]))
+        down, up = a.diff(n).matrix, a.diff(n + 1).matrix
+        diffs[n] = hstack([down, IntMatrix.zeros(down.rows, 1)])
+        diffs[n + 1] = vstack([up, IntMatrix.zeros(1, up.cols)])
+    return ChainComplex(groups, diffs)
+
+
+def _entries(rng, rows, cols):
+    return IntMatrix(rows, cols, [[rng.randrange(-2, 3) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_first_difference_agrees_with_reference_loop():
+    assert zero_complex().first_difference(zero_complex()) is None
+    assert zero_complex().first_difference(sphere(2, Z)) == 2
+    rng = random.Random("first-difference")
+    seen = set()
+    for case in range(120):
+        f = random_finite_chain_map(rng_for("first-difference", case))
+        a = rng.choice([f.src, f.dst])
+        b = _changed_in_one_degree(rng, a, rng.randrange(-5, 6))
+        least = complex_first_difference(a, b)
+        assert a.first_difference(b) == b.first_difference(a) == least
+        assert (a == b) == (least is None)
+        seen.add(("complex", least is None))
+        if not f.degrees():
+            continue
+        # a map changed in one degree or two, by elements of the target or by
+        # combinations of its relations, which are zero there
+        deltas = {}
+        for n in rng.sample(f.degrees(), min(len(f.degrees()), rng.choice([1, 1, 2]))):
+            comp, rels = f.component(n).matrix, f.dst.group(n).relations
+            deltas[n] = (rels @ _entries(rng, rels.cols, comp.cols) if rng.random() < 0.3
+                         else _entries(rng, comp.rows, comp.cols))
+        comps = {m: f.component(m) for m in f.degrees()}
+        comps.update({n: comps[n].matrix + delta for n, delta in deltas.items()})
+        g = ChainMap(f.src, f.dst, comps)
+        bad = f.first_difference(g)
+        assert (None if bad is None else bad[:2]) == map_first_difference(f, g)
+        assert (f == g) == (bad is None)
+        if bad is not None:
+            n, j, value = bad
+            assert value == f.dst.group(n).canon(tuple(-x for x in deltas[n].col(j))) and any(value)
+        seen.add(("map", bad is None))
+    assert len(seen) == 4

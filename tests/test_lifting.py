@@ -1,9 +1,13 @@
 import random
+import sys
 
 import pytest
 
-from zchain.abelian import free_group, mk_hom
+from zchain import abelian, certify
+from zchain.abelian import free_group, mk_hom, preimage
 from zchain.complexes import (
+    cone,
+    cycles_subgroup,
     dsum_complex,
     identity_chain_map,
     mk_chain_map,
@@ -27,10 +31,16 @@ from zchain.lifting import (
     split_ses,
     splitting_from_lift,
 )
-from zchain.modelcls import classify
-from zchain.randgen import random_finite_chain_map, random_lift_square, rng_for
+from zchain.modelcls import classify, split_free_complex
+from zchain.randgen import (
+    random_finite_chain_map,
+    random_free_complex,
+    random_lift_square,
+    rng_for,
+)
 
 from helpers import Zmod, disk, r2_complex, sphere
+from oracles import section_by_inverses
 
 
 Z = free_group(1)
@@ -281,3 +291,48 @@ def test_rlp_validates_squares():
     times2 = mk_chain_map(s, s, {0: IntMatrix.from_rows([[2]])})
     with pytest.raises(PreconditionFailed):
         rlp_instance(times2, "sphere", 0, a=None, bprime=())
+
+
+def test_section_over_contractible_agrees_with_inverse_formula():
+    # s = sigma + d sigma h, read off the contraction h, is entry for entry
+    # the formula that inverts every d': Y_{n+1} -> Z_n
+    maps = []
+    for case in range(8):
+        square = random_lift_square(rng_for("section-route2", case), route=2)
+        maps.append(build_T(LiftProblem(*square)).r)
+    for case in range(8):
+        c, _ = cone(random_free_complex(rng_for("section-cone", case), max_rank=3))
+        _, _, projs = dsum_complex([c, random_free_complex(rng_for("section-other", case))])
+        maps += [identity_chain_map(c), projs[0]]
+    z_parts = 0
+    for r in maps:
+        s = section_over_contractible(r)
+        split = split_free_complex(r.dst)
+        y_lifts = {n: preimage(r.component(n), r.dst.group(n).canon_cols(sd.y_amb))
+                   for n, sd in split.degrees.items()}
+        assert ({n: [list(row) for row in s.component(n).matrix.data] for n in r.dst.degrees()}
+                == section_by_inverses(r, split, y_lifts))
+        z_parts += sum(sd.z_cols.cols > 0 for sd in split.degrees.values())
+    assert z_parts > 10
+
+
+def test_is_injective_and_extension_build_no_kernel(monkeypatch):
+    real = abelian.kernel
+    built = []
+
+    def counting(h):
+        built.append(h)
+        return real(h)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("zchain.")]:
+        if getattr(mod, "kernel", None) is real:
+            monkeypatch.setattr(mod, "kernel", counting)
+    for route in (1, 2):
+        for case in range(3):
+            ext = build_T(LiftProblem(*random_lift_square(rng_for("no-kernel", case), route=route)))
+            built.clear()
+            certify.extension(ext)
+            assert all(ext.k.component(n).is_injective() for n in ext.T.degrees())
+            assert built == []
+    cycles_subgroup(ext.T, 0)  # the counter sees a kernel that is built
+    assert built

@@ -35,7 +35,6 @@ from .abelian import (
     cokernel,
     free_group,
     identity_hom,
-    is_free,
     is_isomorphic,
     kernel,
     mk_group,
@@ -85,7 +84,6 @@ from .lifting import (
     section_over_contractible,
     solve_lift,
     split_ses,
-    splitting_from_lift,
 )
 from .monoidal_proper import (
     ProperReport,

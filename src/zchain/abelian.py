@@ -130,8 +130,7 @@ class FgAbGroup:
             return [()]
         # finite: the relation HNF is square upper triangular, pivots on the diagonal
         bounds = [None] * self.ngens
-        for row in self.rel_rows:
-            p = next(j for j, x in enumerate(row) if x)
+        for row, p in zip(self.rel_rows, self.rel_pivots):
             bounds[p] = row[p]
         certify.check(None not in bounds, "elements", "relation HNF is not square triangular")
         return [v for v in itertools.product(*(range(b) for b in bounds))]
@@ -280,10 +279,6 @@ def cokernel(h):
     Q = mk_group(h.dst.ngens, hstack([h.dst.relations, h.matrix]))
     proj = GroupHom(h.dst, Q, IntMatrix.identity(h.dst.ngens))
     return Q, proj
-
-
-def is_free(g):
-    return not g.invariant_factors
 
 
 def is_isomorphic(g, h):

@@ -3,11 +3,14 @@
 A complex stores groups on a contiguous support window and differentials
 d(n): group(n) -> group(n-1); outside the window every group is trivial and
 every map is zero.  The ``ChainComplex`` and ``ChainMap`` constructors check
-only shapes and endpoints and trust the rest; ``mk_complex`` and
-``mk_chain_map`` are the checked entry points for objects from outside
-(well-definedness, d o d = 0, commuting squares).  What is built here is
-correct by construction and built unchecked; ``block_complex`` certifies
-d o d = 0 and ``induced_map`` that its cycle solve succeeds.  Homology is
+only shapes and endpoints and trust the rest; a differential or component
+whose endpoint equals the complex's group but is another object is rebuilt
+on the complex's own group, so derived kernels and cokernels are presented
+on the complex's own relations.  ``mk_complex`` and ``mk_chain_map`` are
+the checked entry points for objects from outside (well-definedness,
+d o d = 0, commuting squares).  What is built here is correct by
+construction and built unchecked; ``block_complex`` certifies d o d = 0
+and ``induced_map`` that its cycle solve succeeds.  Homology is
 returned as a presented subquotient together with cycle lifts, which is
 enough to compute induced maps exactly; ``is_acyclic`` needs no homology
 group and reads one presentation per degree off a free model instead.
@@ -58,12 +61,15 @@ class ChainComplex:
         self._homology = {}
         for n in self.degrees()[1:]:
             d = diffs.get(n)
+            src, dst = self.group(n), self.group(n - 1)
             if d is None:
-                d = zero_hom(self.group(n), self.group(n - 1))
+                d = zero_hom(src, dst)
             elif isinstance(d, IntMatrix):
-                d = GroupHom(self.group(n), self.group(n - 1), d)
-            if d.src != self.group(n) or d.dst != self.group(n - 1):
-                raise NotAComplex(f"differential at degree {n} has wrong endpoints", n)
+                d = GroupHom(src, dst, d)
+            elif d.src is not src or d.dst is not dst:
+                if d.src != src or d.dst != dst:
+                    raise NotAComplex(f"differential at degree {n} has wrong endpoints", n)
+                d = GroupHom(src, dst, d.matrix)
             self._diffs[n] = d
 
     def degrees(self):
@@ -189,10 +195,13 @@ class ChainMap:
         self.dst = dst
         comps = {}
         for n, c in components.items():
+            g, h = src.group(n), dst.group(n)
             if isinstance(c, IntMatrix):
-                c = GroupHom(src.group(n), dst.group(n), c)
-            if c.src != src.group(n) or c.dst != dst.group(n):
-                raise NotAChainMap(f"component at degree {n} has wrong endpoints", n)
+                c = GroupHom(g, h, c)
+            elif c.src is not g or c.dst is not h:
+                if c.src != g or c.dst != h:
+                    raise NotAChainMap(f"component at degree {n} has wrong endpoints", n)
+                c = GroupHom(g, h, c.matrix)
             comps[n] = c
         self._components = comps
         self._memo = {}
@@ -438,10 +447,7 @@ def kernel_complex(f):
 @memoized_on_map
 def cokernel_complex(f):
     """Degreewise cokernels of a chain map, with the projection."""
-    # each cokernel is presented on f.dst's own group (an equal endpoint of
-    # the component may carry other relation columns)
-    pieces = {n: cokernel(GroupHom(f.src.group(n), f.dst.group(n), f.component(n).matrix))
-              for n in f.dst.degrees()}
+    pieces = {n: cokernel(f.component(n)) for n in f.dst.degrees()}
     cc = ChainComplex({n: q for n, (q, _) in pieces.items()},
                       {n: f.dst.diff(n).matrix for n in f.dst.degrees()[1:]}, f.dst.support)
     proj = ChainMap(f.dst, cc, {n: p for n, (_, p) in pieces.items()})

@@ -214,7 +214,6 @@ class Extension:
     gtilde: ChainMap     # Z -> L
     qtilde: ChainMap     # Z -> B
     ptilde: ChainMap     # Z -> T
-    z_incl: ChainMap     # Z -> L + B (ambient inclusion of the pullback)
     pC: ChainMap         # B -> C (cokernel projection of i)
     problem: LiftProblem
 
@@ -237,7 +236,7 @@ def build_T(problem: LiftProblem) -> Extension:
     ext = Extension(
         K=kq, T=t, C=c, k=k_map, r=r_map,
         Z=pb.complex, gtilde=pb.to_first, qtilde=pb.to_second,
-        ptilde=p_t, z_incl=pb.incl, pC=p_c,
+        ptilde=p_t, pC=p_c,
         problem=problem,
     )
     certify.extension(ext)
@@ -269,30 +268,6 @@ def lift_from_splitting(ext: Extension, n_map: ChainMap) -> ChainMap:
         certify.equal_maps(got, expected, "lift_from_splitting",
                            "reconstructed lift fails a square identity")
     return h
-
-
-def splitting_from_lift(ext: Extension, h: ChainMap) -> ChainMap:
-    """The inverse correspondence: a diagonal h induces the splitting
-    b -> class of (h b, b) in T."""
-    problem = ext.problem
-    if (problem.q @ h) != problem.g or (h @ problem.i) != problem.f:
-        raise NotASplitting("map is not a diagonal of the square")
-    b = problem.i.dst
-    sigma_comps = {}
-    for n in b.degrees():
-        # ambient order in Z's container is (L, B)
-        pair = vstack([h.component(n).matrix,
-                       IntMatrix.identity(b.group(n).ngens)])
-        pair_hom = GroupHom(b.group(n), ext.z_incl.dst.group(n), pair)
-        sigma_comps[n] = factor_through(ext.z_incl.component(n), pair_hom).matrix
-    sigma = ChainMap(b, ext.Z, sigma_comps)
-    certify.chain_map(sigma, "splitting_from_lift")
-    to_t = ext.ptilde @ sigma
-    n_map = ChainMap(ext.C, ext.T, {n: to_t.component(n).matrix for n in ext.C.degrees()})
-    certify.chain_map(n_map, "splitting_from_lift")
-    certify.equal_maps(ext.r @ n_map, identity_chain_map(ext.C), "splitting_from_lift",
-                       "induced map does not split the extension")
-    return n_map
 
 
 def solve_lift(problem: LiftProblem) -> ChainMap:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import certify
 from .errors import NotFree
-from .abelian import FgAbGroup, GroupHom, free_group
+from .abelian import GroupHom, free_group
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -118,12 +118,10 @@ def classify(f: ChainMap) -> MapClassification:
 class SplitDegree:
     """Coordinates of one degree of a free splitting.
 
-    basis embeds free coordinates in the ambient group; y/z columns sit
-    inside free coordinates, and the ambient embeddings and coordinate
-    extractors are precomposed for direct use.
+    y/z columns sit inside free coordinates, and the ambient embeddings and
+    coordinate extractors are precomposed for direct use.
     """
 
-    basis: IntMatrix       # ambient <- free coordinates
     y_cols: IntMatrix      # free <- Y coordinates
     z_cols: IntMatrix      # free <- Z coordinates
     y_amb: IntMatrix       # ambient <- Y
@@ -140,13 +138,13 @@ class FreeSplitting:
     degrees: dict = field(default_factory=dict)   # n -> SplitDegree
     dprime: dict = field(default_factory=dict)    # n -> GroupHom Y_n -> Z_{n-1}
 
-    def y_group(self, n) -> FgAbGroup:
+    def y_rank(self, n) -> int:
         d = self.degrees.get(n)
-        return free_group(d.y_cols.cols if d else 0)
+        return d.y_cols.cols if d else 0
 
-    def z_group(self, n) -> FgAbGroup:
+    def z_rank(self, n) -> int:
         d = self.degrees.get(n)
-        return free_group(d.z_cols.cols if d else 0)
+        return d.z_cols.cols if d else 0
 
 
 def split_free_complex(a: ChainComplex) -> FreeSplitting:
@@ -182,7 +180,6 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
         Sinv = inverse_unimodular(S)
         ky = Y.cols
         sd = SplitDegree(
-            basis=B,
             y_cols=Y,
             z_cols=Zc,
             y_amb=B @ Y,
@@ -200,7 +197,7 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
         # d'(y_i) expressed in the Z basis one degree down
         m = certify.found(solve(prev.z_cols, dfree[n] @ sd.y_cols), "split_free_complex", n,
                           "image of d must consist of cycles")
-        split.dprime[n] = GroupHom(split.y_group(n), split.z_group(n - 1), m)
+        split.dprime[n] = GroupHom(free_group(split.y_rank(n)), free_group(split.z_rank(n - 1)), m)
     return split
 
 
@@ -221,42 +218,23 @@ class Homotopy:
 
 
 def is_contractible(a: ChainComplex, split: FreeSplitting | None = None):
-    """The contraction s: a homotopy on a with d s + s d = 1, assembled from
-    the inverses of d', or None.
+    """The contraction s: a homotopy on a with d s + s d = 1, or None.
 
     Requires a degreewise-free complex; the criterion is that every d' is an
-    isomorphism of free groups.
+    isomorphism of free groups.  The Y_n basis is carried by d onto the HNF
+    basis of the image of d_n, and the Z_{n-1} basis is the HNF basis of the
+    cycles, so the injective d'_n is an isomorphism exactly when the two
+    lattices, and so the two bases, are equal: when d'_n is the identity.
+    Then s_n sends the cycle with coordinates z to the y with d y = z.
     """
     if split is None:
         split = split_free_complex(a)
-    if a.support is None:
-        return Homotopy(a, a, {})
-    lo, hi = a.support
-    inverses = {}
-    for n in range(lo, hi + 2):
-        sd_up = split.degrees.get(n)
-        ky = sd_up.y_cols.cols if sd_up else 0
-        prev = split.degrees.get(n - 1)
-        kz = prev.z_cols.cols if prev else 0
-        if ky == 0 and kz == 0:
-            continue
-        h = split.dprime.get(n)
-        m = h.matrix if h else IntMatrix.zeros(kz, ky)
-        if m.rows != m.cols:
+    for n in a.window(1):
+        k = split.y_rank(n)
+        if k != split.z_rank(n - 1) or (k and split.dprime[n].matrix != IntMatrix.identity(k)):
             return None
-        try:
-            inverses[n] = inverse_unimodular(m)
-        except ValueError:
-            return None
-    comps = {}
-    for n in a.degrees():
-        sd = split.degrees[n]
-        inv = inverses.get(n + 1)
-        if inv is None:
-            # the iso check passed, so Z_n is zero here and s vanishes
-            comps[n] = IntMatrix.zeros(a.group(n + 1).ngens, a.group(n).ngens)
-        else:
-            comps[n] = split.degrees[n + 1].y_amb @ inv @ sd.z_coords
-    s = Homotopy(a, a, comps)
+    # above the top degree Y is zero, so the iso check left Z_n zero there
+    s = Homotopy(a, a, {n: split.degrees[n + 1].y_amb @ split.degrees[n].z_coords
+                        for n in a.degrees()[:-1]})
     certify.homotopy_identity(s, identity_chain_map(a), "is_contractible")
     return s

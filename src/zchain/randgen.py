@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .abelian import kernel, mk_group, mk_hom, free_group
+from .abelian import free_group, kernel, mk_group, mk_hom, preimage_lattice
 from .complexes import (
     ChainComplex,
     cycles_subgroup,
     disk,
+    dsum_chain_maps,
     dsum_complex,
     map_from_disk,
     mk_chain_map,
@@ -103,8 +104,6 @@ def _element_of_order(rng, g, d):
         return ()
     if d == 0:
         return random_element(rng, g)
-    from .abelian import preimage_lattice
-
     lat = preimage_lattice(IntMatrix.identity(g.ngens).scale(d), g.rel_rows)
     v = [0] * g.ngens
     for j in range(lat.cols):
@@ -376,8 +375,6 @@ def random_lift_square(rng, route, max_order=6, depth=0):
     style = rng.randrange(3) if depth == 0 else rng.randrange(2)
     if style == 2:
         # direct sum of two independent squares stays in the configuration
-        from .complexes import dsum_chain_maps
-
         s1 = random_lift_square(rng_for_child(rng), route, max_order, depth + 1)
         s2 = random_lift_square(rng_for_child(rng), route, max_order, depth + 1)
         return tuple(dsum_chain_maps([a, b]) for a, b in zip(s1, s2))

@@ -172,6 +172,28 @@ def inverse_rational(rows):
     return [[int(x) for x in r] for r in inv]
 
 
+def dprime_invertible(split):
+    """Does every d': Y_n -> Z_{n-1} of the free splitting have an integer
+    inverse, in each degree of the support and one past its top?  Both
+    ranks are read off the splitting's columns; the injective d' is
+    inverted by inverse_rational."""
+    c = split.complex
+    if c.support is None:
+        return True
+    lo, hi = c.support
+    for n in range(lo, hi + 2):
+        ky = split.degrees[n].y_cols.cols if n in split.degrees else 0
+        kz = split.degrees[n - 1].z_cols.cols if n - 1 in split.degrees else 0
+        if ky != kz:
+            return False
+        if ky:
+            try:
+                inverse_rational(split.dprime[n].matrix.data)
+            except ValueError:
+                return False
+    return True
+
+
 def _columns(m):
     return [[row[j] for row in m.data] for j in range(m.cols)]
 

@@ -12,7 +12,7 @@ import json
 from zchain.cli import main as cli_main
 from zchain.documents import doc_to_map, map_to_doc
 from zchain.factor import factor_acf_fib, factor_cof_afb, gamma
-from zchain.intlinalg import IntMatrix, hnf, inverse_unimodular, snf
+from zchain.intlinalg import IntMatrix, hnf, snf
 from zchain.modelcls import classify, split_free_complex
 from zchain.randgen import (
     random_acyclic_fibration,
@@ -41,7 +41,7 @@ from zchain.verify import (
 )
 
 from helpers import Zmod, sphere
-from oracles import det_bareiss
+from oracles import det_bareiss, dprime_invertible
 
 
 def report(number, name, cases):
@@ -142,30 +142,8 @@ def test_criterion_8_oracle_crosschecks():
     for case in range(contract_cases):
         a = random_free_complex(rng_for("acceptance-8b", case), max_rank=3)
         assert check_contraction(a) is None
-        assert _all_dprime_iso(a, split_free_complex(a)) == a.is_acyclic()
+        assert dprime_invertible(split_free_complex(a)) == a.is_acyclic()
     report(8, "oracle cross-checks", qiso_cases + contract_cases)
-
-
-def _all_dprime_iso(a, split):
-    if a.support is None:
-        return True
-    lo, hi = a.support
-    for n in range(lo, hi + 2):
-        sd = split.degrees.get(n)
-        ky = sd.y_cols.cols if sd else 0
-        prev = split.degrees.get(n - 1)
-        kz = prev.z_cols.cols if prev else 0
-        if ky == 0 and kz == 0:
-            continue
-        h = split.dprime.get(n)
-        m = h.matrix if h else IntMatrix.zeros(kz, ky)
-        if m.rows != m.cols:
-            return False
-        try:
-            inverse_unimodular(m)
-        except ValueError:
-            return False
-    return True
 
 
 def test_criterion_9_determinism(capsys):

@@ -312,6 +312,38 @@ def test_cokernel_complex_is_presented_on_the_target_groups():
     assert proj.component(0).src is dst.group(0)
 
 
+def _z2_twice():
+    """Z/2 presented by the relation column (2) and, as an equal group, by
+    the columns (2, 4)."""
+    z2 = mk_group(1, IntMatrix.from_rows([[2]]))
+    z2_other = mk_group(1, IntMatrix.from_rows([[2, 4]]))
+    assert z2_other == z2 and z2_other is not z2
+    return z2, z2_other
+
+
+def test_chain_map_endpoint_is_pinned_to_the_complex_groups():
+    z2, z2_other = _z2_twice()
+    src, dst = sphere(0, z2), sphere(0, free_group(1))
+    f = ChainMap(src, dst, {0: GroupHom(z2_other, free_group(1), IntMatrix.zeros(1, 1))})
+    assert f.component(0).src is src.group(0)
+    kc, incl = kernel_complex(f)
+    assert kc.group(0).relations == IntMatrix.from_rows([[2]])
+    assert incl.component(0).dst is src.group(0)
+    with pytest.raises(NotAChainMap):
+        ChainMap(src, dst, {0: GroupHom(Zmod(4), free_group(1), IntMatrix.zeros(1, 1))})
+
+
+def test_differential_endpoint_is_pinned_to_the_complex_groups():
+    z2, z2_other = _z2_twice()
+    c = ChainComplex({0: z2, 1: z2}, {1: GroupHom(z2_other, z2, IntMatrix.zeros(1, 1))})
+    assert c.diff(1).src is c.group(1)
+    cycles, incl = cycles_subgroup(c, 1)
+    assert cycles.relations == IntMatrix.from_rows([[2]])
+    assert incl.dst is c.group(1)
+    with pytest.raises(NotAComplex):
+        ChainComplex({0: z2, 1: z2}, {1: GroupHom(Zmod(4), z2, IntMatrix.zeros(1, 1))})
+
+
 def test_dsum_complex():
     r2 = r2_complex()
     d = disk(2, Zmod(3))

@@ -6,6 +6,7 @@ from zchain import abelian, complexes
 from zchain.abelian import free_group, identity_hom, mk_hom
 from zchain.complexes import (
     cokernel_complex,
+    cone,
     dsum_complex,
     identity_chain_map,
     is_quasi_iso,
@@ -17,6 +18,7 @@ from zchain.complexes import (
 from zchain.errors import NotFree
 from zchain.factor import factor_acf_fib, factor_cof_afb
 from zchain.intlinalg import IntMatrix
+from zchain.lifting import LiftProblem, build_T
 from zchain.modelcls import classify, is_contractible, split_free_complex
 from zchain.randgen import (
     random_acyclic_fibration,
@@ -24,11 +26,13 @@ from zchain.randgen import (
     random_finite_complex,
     random_free_cofibration,
     random_free_complex,
+    random_lift_square,
     random_surjective_non_weq,
     rng_for,
 )
 
 from helpers import Zmod, disk, r2_complex, sphere
+from oracles import dprime_invertible
 
 
 Z = free_group(1)
@@ -184,16 +188,16 @@ def test_two_out_of_three():
 def test_split_free_complex_examples():
     d = disk(0, Z)
     sp = split_free_complex(d)
-    assert sp.y_group(1).ngens == 1 and sp.z_group(0).ngens == 1
+    assert sp.y_rank(1) == 1 and sp.z_rank(0) == 1
     assert sp.dprime[1].matrix == IntMatrix.identity(1)
 
     s = sphere(0, Z)
     sp = split_free_complex(s)
-    assert sp.y_group(0).ngens == 0 and sp.z_group(0).ngens == 1
+    assert sp.y_rank(0) == 0 and sp.z_rank(0) == 1
 
     a = mk_complex((0, 1), {0: Z, 1: Z}, {1: IntMatrix.zeros(1, 1)})
     sp = split_free_complex(a)
-    assert sp.y_group(0).ngens == 0 and sp.y_group(1).ngens == 0
+    assert sp.y_rank(0) == 0 and sp.y_rank(1) == 0
     assert is_contractible(a) is None
 
 
@@ -211,7 +215,7 @@ def test_splitting_structure():
             sd = sp.degrees[n]
             g = a.group(n)
             # A_n = Y + Z: the combined columns are a basis of free coordinates
-            assert sd.y_cols.cols + sd.z_cols.cols == sd.basis.cols
+            assert sd.y_cols.cols + sd.z_cols.cols == g.free_rank
             # d(y + z) = d'(y): differential kills the Z part
             dz = a.diff(n).matrix @ sd.z_amb
             assert all(a.group(n - 1).contains_zero(dz.col(j)) for j in range(dz.cols))
@@ -229,6 +233,27 @@ def test_contractibility_matches_acyclicity():
                 m = a.diff(n + 1).matrix @ s.component(n) + s.component(n - 1) @ a.diff(n).matrix
                 delta = m - IntMatrix.identity(g.ngens)
                 assert all(g.contains_zero(delta.col(j)) for j in range(g.ngens))
+
+
+def test_is_contractible_agrees_with_dprime_inverse_oracle():
+    # every d' is invertible over Z exactly when every d' is the identity:
+    # the image of d and the cycles both carry their canonical HNF bases
+    complexes_ = []
+    for case in range(40):
+        a = random_free_complex(rng_for("contract-oracle", case), max_rank=3)
+        complexes_ += [a, cone(a)[0]]
+    for case in range(6):
+        square = random_lift_square(rng_for("contract-oracle-route2", case), route=2)
+        complexes_.append(build_T(LiftProblem(*square)).C)
+    seen = set()
+    for a in complexes_:
+        split = split_free_complex(a)
+        contractible = is_contractible(a, split) is not None
+        assert contractible == dprime_invertible(split)
+        if contractible:
+            assert all(h.matrix == IntMatrix.identity(h.matrix.cols) for h in split.dprime.values())
+        seen.add((contractible, bool(split.dprime)))
+    assert seen == {(True, True), (False, True), (False, False), (True, False)}
 
 
 def test_contractible_examples():

@@ -22,9 +22,7 @@ from .intlinalg import (
     hstack,
     inverse_unimodular,
     kernel_basis,
-    lattice_contains,
     reduce_cols_mod_rows,
-    reduce_mod_rows,
     row_lattice,
     row_pivots,
     snf,
@@ -83,10 +81,9 @@ class FgAbGroup:
         return f"FgAbGroup({self.ngens} gens, {name})"
 
     def canon(self, v):
-        """Canonical coordinates of the element with generator coordinates v."""
-        if len(v) != self.ngens:
-            raise DimensionMismatch("element length mismatch")
-        return reduce_mod_rows(v, self.rel_rows, self.rel_pivots)
+        """Canonical coordinates of the element with generator coordinates v:
+        the one-column case of ``canon_cols``."""
+        return self.canon_cols(IntMatrix(len(v), 1, [(x,) for x in v])).col(0)
 
     def canon_cols(self, m):
         """m with every column replaced by its canonical coordinates."""
@@ -103,7 +100,7 @@ class FgAbGroup:
         return None
 
     def contains_zero(self, v):
-        return lattice_contains(v, self.rel_rows, self.rel_pivots)
+        return not any(self.canon(v))
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.invariant_factors

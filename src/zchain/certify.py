@@ -22,16 +22,19 @@ def found(x, construction, degree, message):
     return x
 
 
-def classified(f, cls, prop, construction, piece):
-    """cls = classify(f) has the property prop, e.g. "acyclic_cofibration".
+def classified(f, prop, construction, piece):
+    """classify(f), a memo hit after the first call, has the property prop,
+    e.g. "acyclic_cofibration".
 
     The degree named is the first where f fails a boolean that prop needs:
     a nonzero kernel or cokernel group, a cokernel with torsion, an H_n(f)
     that is not an isomorphism or a kernel homology group that is not zero.
     """
+    from .modelcls import CLASSES, classify
+
+    cls = classify(f)
     if getattr(cls, prop):
         return
-    from .modelcls import CLASSES
 
     found = (_first_failing_degree(f, part) for part in CLASSES[prop] if not getattr(cls, part))
     degree = next((n for n in found if n is not None), None)

@@ -46,15 +46,26 @@ def _max_rank():
     return value
 
 
+def _unique_keys(pairs):
+    """A JSON object in which no key is repeated."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:
-        # ValueError covers JSONDecodeError, undecodable UTF-8 and integer
-        # literals past Python's digit limit; RecursionError, deep nesting
+        # ValueError covers JSONDecodeError, undecodable UTF-8, integer
+        # literals past Python's digit limit and repeated keys;
+        # RecursionError, deep nesting
         raise DocumentError(f"{path}: invalid JSON: {e}", code="bad_json") from e
     except OSError as e:
         raise DocumentError(f"{path}: {e}", code="io_error") from e

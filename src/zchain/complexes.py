@@ -517,7 +517,3 @@ def map_from_disk(a, n, v):
     """Chain map disk(n, m) -> a from a hom v: m -> a_{n+1}."""
     return ChainMap(disk(n, v.src), a, {n + 1: v, n: a.diff(n + 1) @ v})
 
-
-def cycles_subgroup(a, n):
-    """The cycle subgroup Z_n(a) with its inclusion into a_n."""
-    return kernel(a.diff(n))

@@ -5,10 +5,10 @@ Matrices travel as row-major arrays of decimal strings so that arbitrary
 precision survives any consumer.  On input an entry may also be a JSON
 integer, but not a float, a boolean or any other string; this module is the
 one place where untyped values become matrix entries.  Degree keys are
-decimal strings.  Parse failures raise DocumentError with enough structure
-(degree, code) for a machine-readable report; an input above the rank cap
-(generators, relation columns, degrees spanned, matrix sides) raises
-RankCapExceeded.
+decimal strings, and no two keys of one object may name the same degree.
+Parse failures raise DocumentError with enough structure (degree, code) for
+a machine-readable report; an input above the rank cap (generators,
+relation columns, degrees spanned, matrix sides) raises RankCapExceeded.
 """
 
 from __future__ import annotations
@@ -106,12 +106,17 @@ def complex_to_doc(c: ChainComplex):
     return doc
 
 
-def _parse_degree(key, where):
+def _parse_degree(key, where, seen):
+    """The degree that key names; seen holds the degrees of the keys read
+    before it, and two keys that name one degree ("1" and "+1") are refused."""
     try:
-        return parse_decimal(key)
+        n = parse_decimal(key)
     except ValueError:
         raise DocumentError(f"{where}: degree keys must be integers, got {key!r}",
                             code="bad_degree") from None
+    if n in seen:
+        raise DocumentError(f"{where}: two keys name degree {n}", code="bad_degree", degree=n)
+    return n
 
 
 def _object(value, what):
@@ -182,7 +187,7 @@ def doc_to_complex(doc, max_rank=None):
                             code="bad_support")
     groups = {}
     for key, gd in groups_doc.items():
-        n = _parse_degree(key, "groups")
+        n = _parse_degree(key, "groups", groups)
         if not (lo <= n <= hi):
             raise DocumentError(f"group at degree {n} lies outside the support",
                                 code="support_mismatch", degree=n)
@@ -192,7 +197,7 @@ def doc_to_complex(doc, max_rank=None):
         _cap(max(nonzero) - min(nonzero) + 1, max_rank, "degrees spanned by groups")
     diffs = {}
     for key, md in diffs_doc.items():
-        n = _parse_degree(key, "differentials")
+        n = _parse_degree(key, "differentials", diffs)
         if not (lo + 1 <= n <= hi):
             raise DocumentError(f"differential at degree {n} lies outside the support",
                                 code="support_mismatch", degree=n)
@@ -227,7 +232,7 @@ def doc_to_map(doc, max_rank=None):
     dst = doc_to_complex(doc.get("target"), max_rank=max_rank)
     comps = {}
     for key, md in _object(doc.get("components", {}), "components").items():
-        n = _parse_degree(key, "components")
+        n = _parse_degree(key, "components", comps)
         comps[n] = json_to_matrix(md, dst.group(n).ngens, src.group(n).ngens,
                                   f"component {n}")
     try:

@@ -101,11 +101,9 @@ def _certified(name, f, middle, layouts, p, labels, kinds):
     summands = {n: tuple((kind, n + shift, g.ngens) for (kind, shift), g in zip(labels, ds.parts))
                 for n, ds in layouts.items()}
     certify.equal_maps(p @ left, f, name, "factorization composite does not reproduce the map")
-    cls_left = classify(left)
-    cls_p = classify(p)
-    certify.classified(left, cls_left, kinds[0], name, "left piece")
-    certify.classified(p, cls_p, kinds[1], name, "right piece")
-    return Factorization(middle, left, p, summands, cls_left, cls_p)
+    certify.classified(left, kinds[0], name, "left piece")
+    certify.classified(p, kinds[1], name, "right piece")
+    return Factorization(middle, left, p, summands, classify(left), classify(p))
 
 
 def _projection(name, middle, layouts, f, theta_part, ib):
@@ -212,7 +210,7 @@ def gamma(b: ChainComplex, max_rank=None):
         return z, zero_chain_map(z, b)
     g, _, p = _cof_afb("gamma", zero_chain_map(zero_complex(), b), max_rank)
     certify.check(g.is_degreewise_free(), "gamma", "replacement is not degreewise free")
-    certify.classified(p, classify(p), "acyclic_fibration", "gamma", "replacement projection")
+    certify.classified(p, "acyclic_fibration", "gamma", "replacement projection")
     return g, p
 
 

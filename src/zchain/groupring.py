@@ -32,7 +32,6 @@ class IGroup:
     nonzero_elements: tuple
     index: dict                       # canonical coords -> basis position
     theta_restricted: GroupHom        # I(A) -> A
-    inclusion_in_za: IntMatrix        # coordinates of [a]-[0] inside Z[A]
 
     @property
     def rank(self):
@@ -66,21 +65,12 @@ def build_I(a, max_rank=None):
     nonzero = tuple(e for e in elements if e != zero)
     free = free_group(len(nonzero))
     theta = GroupHom(free, a, IntMatrix.from_cols([list(e) for e in nonzero], rows=a.ngens))
-    incl_cols = []
-    pos = {e: i for i, e in enumerate(elements)}
-    for e in nonzero:
-        col = [0] * len(elements)
-        col[pos[e]] = 1
-        col[pos[zero]] = -1
-        incl_cols.append(col)
-    incl = IntMatrix.from_cols(incl_cols, rows=len(elements))
     return IGroup(
         base=a,
         free=free,
         nonzero_elements=nonzero,
         index={e: i for i, e in enumerate(nonzero)},
         theta_restricted=theta,
-        inclusion_in_za=incl,
     )
 
 
@@ -99,15 +89,14 @@ def build_I2(ig):
 def I_map(f, i_src, i_dst):
     """[a]-[0] -> [f a]-[0] between I(f.src) = i_src and I(f.dst) = i_dst;
     nonadditive on elements but linear on the basis."""
-    cols = []
-    for e in i_src.nonzero_elements:
-        img = f(e)
-        col = [0] * i_dst.rank
-        if img != f.dst.zero():
-            col[i_dst.index[img]] = 1
-        cols.append(col)
-    m = IntMatrix.from_cols(cols, rows=i_dst.rank)
-    return GroupHom(i_src.free, i_dst.free, m)
+    # the columns of theta are the nonzero elements, so this reduces every
+    # image f(a) at once
+    images = f.dst.canon_cols(f.matrix @ i_src.theta_restricted.matrix).columns()
+    rows = [[0] * i_src.rank for _ in range(i_dst.rank)]
+    for j, img in enumerate(images):
+        if any(img):
+            rows[i_dst.index[img]][j] = 1
+    return GroupHom(i_src.free, i_dst.free, IntMatrix(i_dst.rank, i_src.rank, rows))
 
 
 def I2_map(f, i2_src, i2_dst):

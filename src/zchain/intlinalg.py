@@ -435,19 +435,10 @@ def row_pivots(rows):
     return tuple(next(compress(count(), row)) for row in rows)
 
 
-def reduce_mod_rows(v, rows, pivots=None):
-    """Canonical representative of v modulo the lattice given by HNF rows;
-    pivots are the rows' ``row_pivots``, for callers that keep them."""
-    v = list(v)
-    for row, p in zip(rows, pivots or row_pivots(rows)):
-        q = v[p] // row[p]
-        if q:
-            _axpy(v, row, -q)
-    return tuple(v)
-
-
 def reduce_cols_mod_rows(m, rows, pivots=None):
-    """m with every column replaced by its ``reduce_mod_rows`` representative.
+    """m with every column replaced by its canonical representative modulo
+    the lattice given by HNF rows; pivots are the rows' ``row_pivots``, for
+    callers that keep them.
 
     The same reduction runs on all columns at once, one HNF row at a time,
     as row operations on m.
@@ -472,10 +463,6 @@ def _eliminate(X, rows, pivots):
                 c = row[j]
                 X[j] = [x - c * q for x, q in zip(X[j], qs)]
     return Y
-
-
-def lattice_contains(v, rows, pivots=None):
-    return not any(reduce_mod_rows(v, rows, pivots))
 
 
 @lru_cache(maxsize=4096)

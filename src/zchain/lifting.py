@@ -107,7 +107,7 @@ def nullhomotopy(k: ChainMap) -> Homotopy:
         sd = split.degrees[n]
         target = k.component(n).matrix @ sd.y_amb
         if sd.y_amb.cols:  # d'_n, and Z_{n-1} below it, exist only where Y_n does
-            target = target - t[n - 1] @ split.dprime[n].matrix
+            target = target - t[n - 1] @ split.dprime(n)
         comps[n] = bounding(n, target) @ sd.y_coords + t[n] @ sd.z_coords
     r = Homotopy(a, kc, comps)
     certify.homotopy_identity(r, k, "nullhomotopy")

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 
 from . import certify
 from .errors import NotFree
-from .abelian import GroupHom, free_group
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -116,14 +115,9 @@ def classify(f: ChainMap) -> MapClassification:
 
 @dataclass
 class SplitDegree:
-    """Coordinates of one degree of a free splitting.
+    """Coordinates of one degree of a free splitting, on the ambient
+    generators: embeddings of the Y and Z bases and coordinate extractors."""
 
-    y/z columns sit inside free coordinates, and the ambient embeddings and
-    coordinate extractors are precomposed for direct use.
-    """
-
-    y_cols: IntMatrix      # free <- Y coordinates
-    z_cols: IntMatrix      # free <- Z coordinates
     y_amb: IntMatrix       # ambient <- Y
     z_amb: IntMatrix       # ambient <- Z
     y_coords: IntMatrix    # Y <- ambient
@@ -136,68 +130,49 @@ class FreeSplitting:
 
     complex: ChainComplex
     degrees: dict = field(default_factory=dict)   # n -> SplitDegree
-    dprime: dict = field(default_factory=dict)    # n -> GroupHom Y_n -> Z_{n-1}
 
     def y_rank(self, n) -> int:
         d = self.degrees.get(n)
-        return d.y_cols.cols if d else 0
+        return d.y_amb.cols if d else 0
 
     def z_rank(self, n) -> int:
         d = self.degrees.get(n)
-        return d.z_cols.cols if d else 0
+        return d.z_amb.cols if d else 0
+
+    def dprime(self, n) -> IntMatrix:
+        """d'_n: Y_n -> Z_{n-1} in the two bases, for n with Y_n nonzero.
+
+        d carries Y_n into the cycles, on which z_coords is exact."""
+        return self.degrees[n - 1].z_coords @ self.complex.diff(n).matrix @ self.degrees[n].y_amb
 
 
 def split_free_complex(a: ChainComplex) -> FreeSplitting:
     """Deterministic splitting of a degreewise-free complex.
 
     Y_n is spanned by the canonical preimages of the HNF basis of the image
-    lattice of d_n; Z_n is the canonical kernel basis.
+    lattice of d_n; Z_n is the canonical kernel basis.  NotFree names the
+    lowest degree with torsion.
     """
     split = FreeSplitting(a)
-    free_data = {}
+    c_below = IntMatrix.zeros(0, 0)  # free <- ambient coordinates one degree down
     for n in a.degrees():
         g = a.group(n)
         if g.invariant_factors:
             raise NotFree(f"group in degree {n} has torsion")
         B, C = g.free_basis()
-        free_data[n] = (B, C)
-    # differentials in free coordinates
-    dfree = {}
-    for n in a.degrees():
-        if (n - 1) in free_data:
-            B, _ = free_data[n]
-            _, C1 = free_data[n - 1]
-            dfree[n] = C1 @ a.diff(n).matrix @ B
-        else:
-            dfree[n] = IntMatrix.zeros(0, free_data[n][0].cols)
-    for n in a.degrees():
-        B, C = free_data[n]
-        dn = dfree[n]
+        dn = c_below @ a.diff(n).matrix @ B  # d_n in free coordinates
         Y = certify.found(solve(dn, IntMatrix.from_cols(column_lattice(dn), rows=dn.rows)),
                           "split_free_complex", n, "image basis must have preimages")
         Zc = kernel_basis(dn)
-        S = hstack([Y, Zc])
-        Sinv = inverse_unimodular(S)
+        Sinv = inverse_unimodular(hstack([Y, Zc]))
         ky = Y.cols
-        sd = SplitDegree(
-            y_cols=Y,
-            z_cols=Zc,
+        split.degrees[n] = SplitDegree(
             y_amb=B @ Y,
             z_amb=B @ Zc,
             y_coords=Sinv.take_rows(range(ky)) @ C,
-            z_coords=Sinv.take_rows(range(ky, S.cols)) @ C,
+            z_coords=Sinv.take_rows(range(ky, Sinv.rows)) @ C,
         )
-        split.degrees[n] = sd
-    for n in a.degrees():
-        sd = split.degrees[n]
-        if sd.y_cols.cols == 0:
-            continue
-        prev = certify.found(split.degrees.get(n - 1), "split_free_complex", n,
-                             "nonzero image below the support window")
-        # d'(y_i) expressed in the Z basis one degree down
-        m = certify.found(solve(prev.z_cols, dfree[n] @ sd.y_cols), "split_free_complex", n,
-                          "image of d must consist of cycles")
-        split.dprime[n] = GroupHom(free_group(split.y_rank(n)), free_group(split.z_rank(n - 1)), m)
+        c_below = C
     return split
 
 
@@ -231,7 +206,7 @@ def is_contractible(a: ChainComplex, split: FreeSplitting | None = None):
         split = split_free_complex(a)
     for n in a.window(1):
         k = split.y_rank(n)
-        if k != split.z_rank(n - 1) or (k and split.dprime[n].matrix != IntMatrix.identity(k)):
+        if k != split.z_rank(n - 1) or (k and split.dprime(n) != IntMatrix.identity(k)):
             return None
     # above the top degree Y is zero, so the iso check left Z_n zero there
     s = Homotopy(a, a, {n: split.degrees[n + 1].y_amb @ split.degrees[n].z_coords

@@ -148,14 +148,13 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
     ck, _ = cokernel_complex(k)
     m = ChainMap(ck, uv, {n: pq.component(n).matrix for n in ck.degrees()})
     certify.chain_map(m, "pushout_product")
-    cls_k = classify(k)
-    certify.classified(k, cls_k, "cofibration", "pushout_product", "pushout product")
+    certify.classified(k, "cofibration", "pushout_product", "pushout product")
     for n in m.degrees():
         certify.check(m.component(n).is_iso(), "pushout_product",
                       "cokernel comparison is not an isomorphism", n)
     if cls_i.acyclic_cofibration or cls_j.acyclic_cofibration:
-        certify.classified(k, cls_k, "acyclic_cofibration", "pushout_product", "pushout product")
-    return PushoutProductCert(k, m, ck, cls_k)
+        certify.classified(k, "acyclic_cofibration", "pushout_product", "pushout product")
+    return PushoutProductCert(k, m, ck, classify(k))
 
 
 @dataclass

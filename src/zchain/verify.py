@@ -20,7 +20,7 @@ from .complexes import comparison_degrees, cone, induced_map, is_quasi_iso
 from .factor import factor_acf_fib, factor_cof_afb, gamma
 from .intlinalg import IntMatrix, inverse_unimodular, kernel_basis, snf, hnf
 from .lifting import LiftProblem, rlp_instance, solve_lift
-from .modelcls import classify, is_contractible, split_free_complex
+from .modelcls import classify, is_contractible
 from .monoidal_proper import check_proper, pushout, pushout_product
 from .randgen import (
     random_acyclic_fibration,
@@ -228,7 +228,7 @@ def check_cone(f):
 
 
 def check_contraction(a):
-    if (is_contractible(a, split_free_complex(a)) is not None) != a.is_acyclic():
+    if (is_contractible(a) is not None) != a.is_acyclic():
         return "contractibility disagrees with acyclicity"
     return None
 

@@ -39,12 +39,17 @@ def class_of(h, cycle):
 
 
 def augmentation_data(a):
-    """Z[A] for a finite group A, with epsilon: Z[A] -> Z and theta: Z[A] -> A."""
+    """Z[A] for a finite group A, with epsilon: Z[A] -> Z, theta: Z[A] -> A
+    and the columns [a]-[0] over the nonzero a, in lex order as in build_I."""
     elements = tuple(a.elements())
-    za = free_group(len(elements))
+    n = len(elements)
+    za = free_group(n)
+    # elements[0] is 0, so [a]-[0] is -1 in row 0 and 1 in the row of a
+    differences = [[-1] * (n - 1)] + [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
     return SimpleNamespace(
-        epsilon=mk_hom(za, free_group(1), IntMatrix(1, len(elements), [[1] * len(elements)])),
-        theta=mk_hom(za, a, IntMatrix.from_cols([list(e) for e in elements], rows=a.ngens)))
+        epsilon=mk_hom(za, free_group(1), IntMatrix(1, n, [[1] * n])),
+        theta=mk_hom(za, a, IntMatrix.from_cols([list(e) for e in elements], rows=a.ngens)),
+        differences=IntMatrix(n, n - 1, differences))
 
 
 def map_to_disk(a, n, u):

@@ -182,13 +182,13 @@ def dprime_invertible(split):
         return True
     lo, hi = c.support
     for n in range(lo, hi + 2):
-        ky = split.degrees[n].y_cols.cols if n in split.degrees else 0
-        kz = split.degrees[n - 1].z_cols.cols if n - 1 in split.degrees else 0
+        ky = split.degrees[n].y_amb.cols if n in split.degrees else 0
+        kz = split.degrees[n - 1].z_amb.cols if n - 1 in split.degrees else 0
         if ky != kz:
             return False
         if ky:
             try:
-                inverse_rational(split.dprime[n].matrix.data)
+                inverse_rational(split.dprime(n).data)
             except ValueError:
                 return False
     return True
@@ -249,10 +249,10 @@ def section_by_inverses(r, split, y_lifts):
     for n in c.degrees():
         sd = split.degrees[n]
         s = matmul_naive(y_lifts[n].data, sd.y_coords.data, sd.y_coords.rows, sd.y_coords.cols)
-        if sd.z_cols.cols:
+        if sd.z_amb.cols:
             d = r.src.diff(n + 1).matrix
             dy = matmul_naive(d.data, y_lifts[n + 1].data, d.cols, y_lifts[n + 1].cols)
-            inv = inverse_rational(split.dprime[n + 1].matrix.data)
+            inv = inverse_rational(split.dprime(n + 1).data)
             t = matmul_naive(matmul_naive(dy, inv, len(inv), len(inv)), sd.z_coords.data,
                              sd.z_coords.rows, sd.z_coords.cols)
             s = [[x + y for x, y in zip(p, q)] for p, q in zip(s, t)]

@@ -118,18 +118,20 @@ def test_classification_certificate_names_the_failing_degree():
         ]
         for f, prop in cases:
             with pytest.raises(CertificateFailed) as info:
-                certify.classified(f, classify(f), prop, "example", "map")
+                certify.classified(f, prop, "example", "map")
             assert info.value.details["degree"] == n, (n, prop)
             assert info.value.details["witness"] == classify(f).as_dict()
         ident = identity_chain_map(a)
-        certify.classified(ident, classify(ident), "acyclic_cofibration", "example", "map")
+        certify.classified(ident, "acyclic_cofibration", "example", "map")
 
 
 def test_corrupted_contraction_fails_the_homotopy_identity():
-    # twice the Z coordinates give d s + s d = 2 on the disk Z --1--> Z
+    # twice the Z coordinates give d s + s d = 2 on the disk Z --1--> Z; d'
+    # read off those coordinates would be 2, so it is pinned to the identity
     a = disk(0, free_group(1))
     split = split_free_complex(a)
     split.degrees[0].z_coords = split.degrees[0].z_coords.scale(2)
+    split.dprime = lambda n: IntMatrix.identity(split.y_rank(n))
     with pytest.raises(CertificateFailed) as info:
         is_contractible(a, split)
     assert info.value.details == {"construction": "is_contractible", "degree": 0,

@@ -139,7 +139,8 @@ def test_certificate_failure_exit_1(capsys, tmp_path, monkeypatch):
     complex_path = write(tmp_path, "s2.json", s2_doc())
     cases = [
         # every classification comes back empty: the factor pieces fail
-        ("zchain.factor.classify", lambda f: MapClassification(*[False] * 6),
+        # (certify.classified reads classify from zchain.modelcls)
+        ("zchain.modelcls.classify", lambda f: MapClassification(*[False] * 6),
          ["factorize", map_path, "--mode", "acf-fib"], "factor_acf_fib", None),
         # cycle coordinates that must exist come back missing
         ("zchain.complexes.solve", lambda *args: None,
@@ -619,6 +620,31 @@ def _group(key, support):
 def test_malformed_document_shapes_exit_2(capsys, tmp_path, command, doc, expected):
     path = write(tmp_path, "doc.json", doc)
     assert error_code(capsys, [command, path]) == (2, expected)
+
+
+_Z = {"generators": 1, "relations": []}
+
+
+@pytest.mark.parametrize("command, doc, degree", [
+    ("homology", _complex(support=[0, 1], groups={"0": _Z, "1": _Z},
+                          differentials={"1": [["1"]], "+1": [["2"]]}), 1),
+    ("homology", _complex(groups={"0": _Z, "00": {"generators": 1, "relations": [["2"]]}}), 0),
+    ("classify", {**x2_map_doc(), "components": {"0": [["2"]], "-0": [["3"]]}}, 0),
+], ids=["differentials-1-and-+1", "groups-0-and-00", "components-0-and--0"])
+def test_duplicate_degree_keys_exit_2(capsys, tmp_path, command, doc, degree):
+    # two spellings of one degree: the later key must not silently replace the earlier
+    code, out = run_cli(capsys, [command, write(tmp_path, "doc.json", doc)])
+    error = json.loads(out)["error"]
+    assert (code, error["code"], error["degree"]) == (2, "bad_degree", degree)
+
+
+def test_repeated_json_key_exits_2(capsys, tmp_path):
+    # json.dumps cannot write a repeated key, so the text is spelled out
+    p = tmp_path / "doc.json"
+    p.write_text('{"matrix": [["1"]], "matrix": [["2"]]}', encoding="utf-8")
+    assert error_code(capsys, ["snf", str(p)]) == (2, "bad_json")
+    p.write_text(json.dumps(s2_doc())[:-1] + ', "groups": {}}', encoding="utf-8")
+    assert error_code(capsys, ["homology", str(p)]) == (2, "bad_json")
 
 
 @pytest.mark.parametrize("text", [

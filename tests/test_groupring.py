@@ -6,9 +6,10 @@ import pytest
 from zchain.abelian import free_group, identity_hom, is_isomorphic, mk_group, mk_hom, zero_hom
 from zchain.errors import InfiniteGroup, RankCapExceeded
 from zchain.groupring import I2_map, I_map, build_I, build_I2
-from zchain.intlinalg import IntMatrix, lattice_contains, row_lattice
+from zchain.intlinalg import IntMatrix, row_lattice
 
 from helpers import Zmod, augmentation_data, random_hom
+from oracles import in_row_lattice
 
 
 def test_build_I_examples():
@@ -65,16 +66,43 @@ def test_epsilon_theta_identities():
         aug = augmentation_data(a)
         ig = build_I(a)
         # eps vanishes on I(A)
-        comp = aug.epsilon.matrix @ ig.inclusion_in_za
+        comp = aug.epsilon.matrix @ aug.differences
         assert comp.is_zero()
         # theta restricted to I agrees with the elementwise difference a - 0
-        comp2 = aug.theta.matrix @ ig.inclusion_in_za
+        comp2 = aug.theta.matrix @ aug.differences
         for j in range(ig.rank):
             assert a.canon(comp2.col(j)) == ig.nonzero_elements[j]
         # theta kills I^2
         i2 = build_I2(ig)
         killed = ig.theta_restricted.matrix @ i2.inclusion_matrix
         assert all(a.contains_zero(killed.col(j)) for j in range(i2.rank))
+
+
+def test_I_map_agrees_with_elementwise_images():
+    # column j of I(f) is the basis vector of the nonzero e' with f(e_j) - e'
+    # in the relation lattice of the target, or zero when f(e_j) lies in it
+    rng = random.Random("I-map-elementwise")
+    groups = [Zmod(2), Zmod(4), Zmod(6), mk_group(2, IntMatrix.from_rows([[2, 0], [0, 2]])),
+              mk_group(2, IntMatrix.from_rows([[2, 1], [0, 3]]))]
+    picked_any = False
+    for _ in range(30):
+        a, b = rng.choice(groups), rng.choice(groups)
+        f = random_hom(rng, a, b)
+        ia, ib = build_I(a), build_I(b)
+        m = I_map(f, ia, ib).matrix
+        rels = b.relations.columns()
+        for j, e in enumerate(ia.nonzero_elements):
+            col = m.col(j)
+            picked = [i for i, x in enumerate(col) if x]
+            assert set(col) <= {0, 1} and len(picked) <= 1
+            image = f.matrix.mul_vec(e)
+            if picked:
+                e2 = ib.nonzero_elements[picked[0]]
+                assert in_row_lattice([x - y for x, y in zip(image, e2)], rels, b.ngens)
+                picked_any = True
+            else:
+                assert in_row_lattice(image, rels, b.ngens)
+    assert picked_any
 
 
 def test_quotient_recovers_group():
@@ -118,7 +146,7 @@ def test_i2_lattice_is_theta_kernel():
         for _ in range(20):
             v = tuple(rng.randrange(-3, 4) for _ in range(ig.rank))
             in_kernel = a.contains_zero(ig.theta_restricted.matrix.mul_vec(v))
-            assert in_kernel == lattice_contains(v, rows)
+            assert in_kernel == in_row_lattice(v, rows, ig.rank)
 
 
 def test_functors_take_exactly_what_they_read():

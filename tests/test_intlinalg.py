@@ -6,9 +6,7 @@ from zchain.intlinalg import (
     hnf,
     inverse_unimodular,
     kernel_basis,
-    lattice_contains,
     reduce_cols_mod_rows,
-    reduce_mod_rows,
     row_lattice,
     snf,
     solve,
@@ -193,9 +191,9 @@ def test_solve_matrix_is_columnwise():
 def test_lattice_utilities():
     rows = row_lattice([(2, 0), (0, 3), (2, 3)], 2)
     assert rows == ((2, 0), (0, 3))
-    assert lattice_contains((4, -3), rows)
-    assert not lattice_contains((1, 0), rows)
-    assert reduce_mod_rows((5, 4), rows) == (1, 1)
+    # the columns (4, -3), (1, 0) and (5, 4), reduced in one call
+    reduced = reduce_cols_mod_rows(IntMatrix.from_cols([(4, -3), (1, 0), (5, 4)]), rows)
+    assert reduced.columns() == [(0, 0), (1, 0), (1, 1)]
 
 
 def test_inverse_unimodular():

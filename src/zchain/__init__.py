@@ -72,7 +72,7 @@ from .modelcls import (
     split_free_complex,
 )
 from .groupring import I2Group, I2_map, IGroup, I_map, build_I, build_I2
-from .factor import Factorization, factor_acf_fib, factor_cof_afb, gamma
+from .factor import Factorization, factor_acf_fib, factor_cof_afb, gamma, naturality_map
 from .lifting import (
     Extension,
     LiftProblem,

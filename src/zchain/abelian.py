@@ -181,9 +181,6 @@ class GroupHom:
     def __repr__(self):
         return f"GroupHom({self.src!r} -> {self.dst!r})"
 
-    def __call__(self, v):
-        return self.dst.canon(self.matrix.mul_vec(v))
-
     def __matmul__(self, other):
         if other.dst != self.src:
             raise DimensionMismatch("homs are not composable")

@@ -173,9 +173,10 @@ def doc_to_complex(doc, max_rank=None):
     groups_doc = _object(doc.get("groups", {}), "groups")
     diffs_doc = _object(doc.get("differentials", {}), "differentials")
     if support is None:
-        if groups_doc:
-            raise DocumentError("groups given without a support window",
-                                code="support_mismatch")
+        for what, given in (("groups", groups_doc), ("differentials", diffs_doc)):
+            if given:
+                raise DocumentError(f"{what} given without a support window",
+                                    code="support_mismatch")
         return mk_complex(None, {}, {})
     if (not isinstance(support, list) or len(support) != 2
             or not all(type(x) is int for x in support)):

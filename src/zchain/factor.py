@@ -19,6 +19,10 @@ I(B_n) + I^2(B_{n-1}), a degreewise-free complex with a surjective
 quasi-isomorphism onto B, and ``gamma`` computes it exactly so: as the
 middle and right map of the second factorization of 0 -> B.
 
+Both constructions are functorial: ``naturality_map`` sends a commuting
+square f' o a = b o f to the map of middles that is, summand by summand, the
+functor that made the summand applied to a or b.
+
 Every factorization is certified at construction through ``zchain.certify``:
 d^2 = 0, the projection is a chain map, the composite equals f exactly, and
 the two pieces classify as promised.  The inclusion of A is correct by
@@ -30,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import certify
-from .errors import InfiniteGroup
+from .errors import InfiniteGroup, PreconditionFailed
 from .abelian import GroupHom
 from .complexes import ChainComplex, ChainMap, block_complex, zero_chain_map, zero_complex
 from .groupring import IGroup, I2Group, I2_map, I_map, build_I, build_I2
-from .intlinalg import IntMatrix, hstack
+from .intlinalg import IntMatrix, blockdiag, hstack
+from .lifting import LiftProblem
 from .modelcls import MapClassification, classify
 
 
@@ -217,3 +222,44 @@ def gamma(b: ChainComplex, max_rank=None):
 def _trivial_factorization(f):
     cls = classify(f)
     return Factorization(f.src, ChainMap(f.src, f.src, {}), f, {}, cls, cls)
+
+
+def naturality_map(fact, fact2, a: ChainMap, b: ChainMap) -> ChainMap:
+    """The map fact.middle -> fact2.middle that the commuting square
+    f' o a = b o f induces, for factorizations fact of f and fact2 of f' of
+    one kind.
+
+    In each degree it is the block diagonal over fact.summands: an A summand
+    goes by a, an I or I^2 summand by I_map or I2_map of a or b in the
+    summand's source degree.  A square whose corners do not meet or that does
+    not commute, or factorizations of two kinds, raise PreconditionFailed
+    with the least failing degree.  The map is certified as a chain map that
+    commutes with both left and both right pieces.
+    """
+    # the naturality square is a lifting square with top a and bottom b
+    LiftProblem(fact.right @ fact.left, fact2.right @ fact2.left, a, b)
+    ends = {"A": (a, _IData(a.src), _IData(a.dst)), "B": (b, _IData(b.src), _IData(b.dst))}
+
+    def block(kind, d):
+        g, src, dst = ends["B" if kind.endswith("(B)") else "A"]
+        if kind.startswith("I2"):
+            return I2_map(g.component(d), src.i2(d), dst.i2(d)).matrix
+        if kind.startswith("I"):
+            return I_map(g.component(d), src.i(d), dst.i(d)).matrix
+        return g.component(d).matrix
+
+    comps = {}
+    for n, parts in fact.summands.items():
+        parts2 = fact2.summands.get(n)
+        if parts2 is None:
+            continue
+        if [p[:2] for p in parts] != [p[:2] for p in parts2]:
+            raise PreconditionFailed("factorizations are not of one kind", n)
+        comps[n] = blockdiag(block(kind, d) for kind, d, _ in parts)
+    m = ChainMap(fact.middle, fact2.middle, comps)
+    certify.chain_map(m, "naturality_map")
+    certify.equal_maps(m @ fact.left, fact2.left @ a, "naturality_map",
+                       "map of middles does not commute with the left pieces")
+    certify.equal_maps(fact2.right @ m, b @ fact.right, "naturality_map",
+                       "map of middles does not commute with the right pieces")
+    return m

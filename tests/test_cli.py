@@ -601,6 +601,11 @@ def _group(key, support):
     ("homology", _complex(groups="x"), "bad_document"),
     ("homology", _complex(groups=[], support=None), "bad_document"),
     ("homology", _complex(differentials=[]), "bad_document"),
+    ("homology", {"differentials": {"1": [["5"]]}}, "support_mismatch"),
+    ("homology", _complex(groups={}, differentials={"1": [["5"]]}, support=None),
+     "support_mismatch"),
+    ("homology", _complex(groups={}, differentials={"x": [["5"]]}, support=None),
+     "support_mismatch"),
     ("classify", {**x2_map_doc(), "components": [["2"]]}, "bad_document"),
     ("homology", _group("0 ", [0, 0]), "bad_degree"),
     ("homology", _group("1_0", [0, 10]), "bad_degree"),
@@ -613,7 +618,8 @@ def _group(key, support):
     ("snf", {"matrix": 5}, "bad_document"),
     ("snf", 5, "bad_document"),
 ], ids=["group-string", "relation-row-int", "relations-int", "groups-string", "groups-list",
-        "differentials-list", "components-list", "degree-space", "degree-underscore",
+        "differentials-list", "differentials-no-support", "differentials-null-support",
+        "differentials-null-support-bad-key", "components-list", "degree-space", "degree-underscore",
         "degree-non-ascii", "degree-past-digit-limit", "differential-degree-space",
         "component-degree-space", "lift-not-object", "lift-missing-q", "snf-matrix-int",
         "snf-bare-int"])

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from zchain.abelian import DirectSum, free_group, is_isomorphic, mk_group, mk_hom
 from zchain.complexes import (
+    ChainMap,
     identity_chain_map,
     induced_map,
     kernel_complex,
@@ -14,14 +16,15 @@ from zchain.complexes import (
     zero_complex,
 )
 from zchain.documents import complex_to_doc, map_to_doc
-from zchain.errors import InfiniteGroup
-from zchain.factor import factor_acf_fib, factor_cof_afb, gamma
+from zchain.errors import InfiniteGroup, PreconditionFailed
+from zchain.factor import factor_acf_fib, factor_cof_afb, gamma, naturality_map
 from zchain.groupring import I2_map, I_map, build_I, build_I2
 from zchain.intlinalg import IntMatrix
 from zchain.modelcls import classify
+from zchain.monoidal_proper import pushout
 
 from helpers import Zmod, sphere, random_hom
-from zchain.randgen import random_finite_complex, random_finite_chain_map
+from zchain.randgen import random_finite_chain_map, random_finite_complex, random_map_out, rng_for
 
 
 def test_factor_acf_fib_examples():
@@ -195,9 +198,9 @@ def test_filtration_of_projection_kernel():
         if x.support is None:
             continue
         a, b = f.src, f.dst
-        data = _i_square_data(f, x)
-        z_cx, z_in_x = _z_subcomplex(x, b, data)
-        y_cx, y_in_x = _y_subcomplex(x, a, b, f, data)
+        i2a, i2b = _i2_groups(f, x)
+        z_cx, z_in_x = _z_subcomplex(fact, b, i2b)
+        y_cx, y_in_x = _y_subcomplex(fact, a, b, f, i2a, i2b)
         assert z_cx.is_acyclic()
         k_cx, k_in_x = kernel_complex(fact.right)
         assert k_cx.is_acyclic()
@@ -214,22 +217,22 @@ def test_filtration_of_projection_kernel():
         assert k_mod_y.is_acyclic()
 
 
-def _i_square_data(f, x):
-    """I and I^2 groups of both sides over the middle complex window."""
+def _i2_groups(f, x):
+    """The I^2 groups of both sides over the middle complex window."""
     window = range(x.support[0] - 3, x.support[1] + 2)
-    ia = {m: build_I(f.src.group(m)) for m in window}
-    ib = {m: build_I(f.dst.group(m)) for m in window}
-    return {
-        "ia": ia,
-        "ib": ib,
-        "i2a": {m: build_I2(ia[m]) for m in window},
-        "i2b": {m: build_I2(ib[m]) for m in window},
-    }
+    return ({m: build_I2(build_I(f.src.group(m))) for m in window},
+            {m: build_I2(build_I(f.dst.group(m))) for m in window})
 
 
-def _z_subcomplex(x, b, data):
+def _middle_layout(fact, n):
+    """Degree n of the middle as free parts of the sizes fact.summands
+    records; block_matrix reads only the sizes."""
+    return DirectSum([free_group(k) for _, _, k in fact.summands[n]])
+
+
+def _z_subcomplex(fact, b, i2b):
     """Both I^2(B) strands: degree n holds I^2(B_n) + I^2(B_{n-1})."""
-    i2b = data["i2b"]
+    x = fact.middle
     lo, hi = x.support
     layouts = {n: DirectSum([i2b[n].free, i2b[n - 1].free])
                for n in range(lo, hi + 1)}
@@ -246,32 +249,19 @@ def _z_subcomplex(x, b, data):
             (1, 1): -i2db(n - 1),
         })
     z_cx = mk_complex((lo, hi), groups, diffs)
-    incl = {n: _z_inclusion_matrix(x, b, data, n) for n in z_cx.degrees()}
+    # I^2(B_n) sits inside the I(B_n) summand, and the I^2(B_{n-1}) strand
+    # is the last summand itself
+    incl = {n: _middle_layout(fact, n).block_matrix(layouts[n], {
+        (3, 0): i2b[n].inclusion_matrix,
+        (4, 1): IntMatrix.identity(i2b[n - 1].rank),
+    }) for n in z_cx.degrees()}
     z_in_x = mk_chain_map(z_cx, x, incl)
     return z_cx, z_in_x
 
 
-def _z_inclusion_matrix(x, b, data, n):
-    i2b = data["i2b"]
-    # ambient coordinates: I^2(B_n) sits inside the I(B_n) slot, and the
-    # I^2(B_{n-1}) strand is the fifth slot itself
-    a_gens = x.group(n).ngens
-    ib_rank = data["ib"][n].rank
-    offset_ib = a_gens - ib_rank - i2b[n - 1].rank
-    rows = [[0] * (i2b[n].rank + i2b[n - 1].rank) for _ in range(a_gens)]
-    inc = i2b[n].inclusion_matrix
-    for r in range(inc.rows):
-        for c in range(inc.cols):
-            rows[offset_ib + r][c] = inc.data[r][c]
-    for j in range(i2b[n - 1].rank):
-        rows[offset_ib + ib_rank + j][i2b[n].rank + j] = 1
-    return IntMatrix(a_gens, i2b[n].rank + i2b[n - 1].rank, rows)
-
-
-def _y_subcomplex(x, a, b, f, data):
+def _y_subcomplex(fact, a, b, f, i2a, i2b):
     """Z plus both I^2(A) strands: I^2(A_{n-1}) + I^2(A_{n-2}) + Z_n."""
-    ia, i2a = data["ia"], data["i2a"]
-    ib, i2b = data["ib"], data["i2b"]
+    x = fact.middle
     lo, hi = x.support
     layouts = {n: DirectSum([i2a[n - 1].free, i2a[n - 2].free,
                              i2b[n].free, i2b[n - 1].free])
@@ -304,133 +294,75 @@ def _y_subcomplex(x, a, b, f, data):
             (3, 3): -i2db(n - 1),
         })
     y_cx = mk_complex((lo, hi), groups, diffs)
-    incl = {}
-    for n in y_cx.degrees():
-        incl[n] = _y_inclusion_matrix(x, a, b, data, n)
+    incl = {n: _middle_layout(fact, n).block_matrix(layouts[n], {
+        (1, 0): i2a[n - 1].inclusion_matrix,
+        (2, 1): IntMatrix.identity(i2a[n - 2].rank),
+        (3, 2): i2b[n].inclusion_matrix,
+        (4, 3): IntMatrix.identity(i2b[n - 1].rank),
+    }) for n in y_cx.degrees()}
     y_in_x = mk_chain_map(y_cx, x, incl)
     return y_cx, y_in_x
 
 
-def _y_inclusion_matrix(x, a, b, data, n):
-    ia, i2a = data["ia"], data["i2a"]
-    ib, i2b = data["ib"], data["i2b"]
-    total = x.group(n).ngens
-    cols_cnt = (i2a[n - 1].rank + i2a[n - 2].rank + i2b[n].rank + i2b[n - 1].rank)
-    rows = [[0] * cols_cnt for _ in range(total)]
-    a_gens = a.group(n).ngens
-    off_ia = a_gens
-    off_i2a = off_ia + ia[n - 1].rank
-    off_ib = off_i2a + i2a[n - 2].rank
-    off_i2b = off_ib + ib[n].rank
-    col = 0
-    inc_a = i2a[n - 1].inclusion_matrix
-    for c in range(inc_a.cols):
-        for r in range(inc_a.rows):
-            rows[off_ia + r][col] = inc_a.data[r][c]
-        col += 1
-    for j in range(i2a[n - 2].rank):
-        rows[off_i2a + j][col] = 1
-        col += 1
-    inc_b = i2b[n].inclusion_matrix
-    for c in range(inc_b.cols):
-        for r in range(inc_b.rows):
-            rows[off_ib + r][col] = inc_b.data[r][c]
-        col += 1
-    for j in range(i2b[n - 1].rank):
-        rows[off_i2b + j][col] = 1
-        col += 1
-    return IntMatrix(total, cols_cnt, rows)
+def _squares():
+    """Commuting squares f' o a = b o f as (f, f', a, b): five with a the
+    identity and b a map out of the target, then twelve pushout squares
+    whose a is an endomorphism of the source or a map out of it, neither
+    zero nor the identity, and whose f' and b are the legs of pushout(f, a)."""
+    for case in range(5):
+        rng = rng_for("factor-natural", case)
+        f, _, dst_ps = random_finite_chain_map(rng, max_pieces=2, with_structure=True)
+        b = random_map_out(rng, dst_ps, random_finite_complex(rng, max_pieces=2))
+        yield f, b @ f, identity_chain_map(f.src), b
+    found = 0
+    for case in itertools.count():
+        rng = rng_for("factor-natural-pushout", case)
+        f, src_ps, _ = random_finite_chain_map(rng, max_pieces=2, with_structure=True)
+        target = f.src if case % 2 else random_finite_complex(rng, max_pieces=2)
+        a = random_map_out(rng, src_ps, target)
+        if a.is_zero() or a == identity_chain_map(f.src):
+            continue
+        po = pushout(f, a)
+        yield f, po.from_second, a, po.from_first
+        found += 1
+        if found == 12:
+            return
 
 
 def test_functorial_on_squares():
-    # a commutative square (a, b) between maps induces middle-to-middle
-    # comparison maps assembled functorially, commuting with both legs
-    from zchain.complexes import identity_chain_map
-    from zchain.randgen import random_finite_complex, random_map_out, rng_for
-
-    for case in range(5):
-        rng = rng_for("factor-natural", case)
-        f, src_ps, dst_ps = random_finite_chain_map(rng, max_pieces=2,
-                                                    with_structure=True)
-        b_target = random_finite_complex(rng, max_pieces=2)
-        b_vert = random_map_out(rng, dst_ps, b_target)
-        fprime = b_vert @ f
-        a_vert = identity_chain_map(f.src)
-
-        fact = factor_acf_fib(f)
-        fact2 = factor_acf_fib(fprime)
-        w_nat = _w_naturality_map(f, fprime, a_vert, b_vert, fact, fact2)
-        assert (w_nat @ fact.left) == (fact2.left @ a_vert)
-        assert (fact2.right @ w_nat) == (b_vert @ fact.right)
-
-        xf = factor_cof_afb(f)
-        xf2 = factor_cof_afb(fprime)
-        x_nat = _x_naturality_map(f, fprime, a_vert, b_vert, xf, xf2)
-        assert (x_nat @ xf.left) == (xf2.left @ a_vert)
-        assert (xf2.right @ x_nat) == (b_vert @ xf.right)
+    # naturality_map certifies itself; the squares against both legs are
+    # checked again here, and the identity square must give the identity
+    for f, fprime, a, b in _squares():
+        for factor in (factor_acf_fib, factor_cof_afb):
+            fact, fact2 = factor(f), factor(fprime)
+            m = naturality_map(fact, fact2, a, b)
+            assert (m @ fact.left) == (fact2.left @ a)
+            assert (fact2.right @ m) == (b @ fact.right)
+            ident = naturality_map(fact, fact, identity_chain_map(f.src),
+                                   identity_chain_map(f.dst))
+            assert ident == identity_chain_map(fact.middle)
 
 
-def _w_naturality_map(f, fprime, a_vert, b_vert, fact, fact2):
-    comps = {}
-    for n in set(fact.middle.degrees()) | set(fact2.middle.degrees()):
-        src_parts = fact.summands.get(n)
-        dst_parts = fact2.summands.get(n)
-        ia_n = build_I(f.dst.group(n))
-        ia2_n = build_I(fprime.dst.group(n))
-        ia_n1 = build_I(f.dst.group(n + 1))
-        ia2_n1 = build_I(fprime.dst.group(n + 1))
-        blocks = {
-            (0, 0): a_vert.component(n).matrix,
-            (1, 1): I_map(b_vert.component(n), ia_n, ia2_n).matrix,
-            (2, 2): I_map(b_vert.component(n + 1), ia_n1, ia2_n1).matrix,
-        }
-        comps[n] = _assemble(fact.middle, fact2.middle, f, fprime, n, blocks, kind="w")
-    return mk_chain_map(fact.middle, fact2.middle, comps)
+@pytest.mark.parametrize("factor", [factor_acf_fib, factor_cof_afb])
+def test_naturality_map_of_the_trivial_factorization(factor):
+    z = zero_complex()
+    fact = factor(zero_chain_map(z, z))
+    m = naturality_map(fact, fact, zero_chain_map(z, z), zero_chain_map(z, z))
+    assert m.src.is_zero() and m.dst.is_zero() and m.is_zero()
 
 
-def _x_naturality_map(f, fprime, a_vert, b_vert, xf, xf2):
-    comps = {}
-    for n in set(xf.middle.degrees()) | set(xf2.middle.degrees()):
-        ia = {m: build_I(f.src.group(m)) for m in (n - 1, n - 2)}
-        ia2 = {m: build_I(fprime.src.group(m)) for m in (n - 1, n - 2)}
-        ib = build_I(f.dst.group(n))
-        ib2 = build_I(fprime.dst.group(n))
-        i2b = build_I2(build_I(f.dst.group(n - 1)))
-        i2b2 = build_I2(build_I(fprime.dst.group(n - 1)))
-        i2a = build_I2(ia[n - 2])
-        i2a2 = build_I2(ia2[n - 2])
-        blocks = {
-            (0, 0): a_vert.component(n).matrix,
-            (1, 1): I_map(a_vert.component(n - 1), ia[n - 1], ia2[n - 1]).matrix,
-            (2, 2): I2_map(a_vert.component(n - 2), i2a, i2a2).matrix,
-            (3, 3): I_map(b_vert.component(n), ib, ib2).matrix,
-            (4, 4): I2_map(b_vert.component(n - 1), i2b, i2b2).matrix,
-        }
-        comps[n] = _assemble(xf.middle, xf2.middle, f, fprime, n, blocks, kind="x")
-    return mk_chain_map(xf.middle, xf2.middle, comps)
-
-
-def _assemble(src_c, dst_c, f, fprime, n, blocks, kind):
-    if kind == "w":
-        src_parts = [f.src.group(n), build_I(f.dst.group(n)).free,
-                     build_I(f.dst.group(n + 1)).free]
-        dst_parts = [fprime.src.group(n), build_I(fprime.dst.group(n)).free,
-                     build_I(fprime.dst.group(n + 1)).free]
-    else:
-        src_parts = [
-            f.src.group(n),
-            build_I(f.src.group(n - 1)).free,
-            build_I2(build_I(f.src.group(n - 2))).free,
-            build_I(f.dst.group(n)).free,
-            build_I2(build_I(f.dst.group(n - 1))).free,
-        ]
-        dst_parts = [
-            fprime.src.group(n),
-            build_I(fprime.src.group(n - 1)).free,
-            build_I2(build_I(fprime.src.group(n - 2))).free,
-            build_I(fprime.dst.group(n)).free,
-            build_I2(build_I(fprime.dst.group(n - 1))).free,
-        ]
-    src_ds = DirectSum(src_parts)
-    dst_ds = DirectSum(dst_parts)
-    return dst_ds.block_matrix(src_ds, blocks)
+def test_naturality_map_refuses_bad_squares():
+    # on Z/2 in degrees 1 and 2 with d = 0: f' o a = b o f fails in degree 2,
+    # a's source misses f's source in degree 2, and a W middle and an X middle
+    # first meet in degree 1
+    z2 = Zmod(2)
+    s = mk_complex((1, 2), {1: z2, 2: z2}, {})
+    ident = identity_chain_map(s)
+    fact = factor_acf_fib(ident)
+    low = ChainMap(s, s, {1: ident.component(1)})
+    wrong = identity_chain_map(sphere(1, z2))
+    for fact2, a, b, degree in [(fact, ident, low, 2), (fact, wrong, ident, 2),
+                                (factor_cof_afb(ident), ident, ident, 1)]:
+        with pytest.raises(PreconditionFailed) as e:
+            naturality_map(fact, fact2, a, b)
+        assert e.value.degree == degree

@@ -186,23 +186,12 @@ class GroupHom:
             raise DimensionMismatch("homs are not composable")
         return GroupHom(other.src, self.dst, self.matrix @ other.matrix)
 
-    def __add__(self, other):
-        if self.src != other.src or self.dst != other.dst:
-            raise DimensionMismatch("hom sum shape mismatch")
-        return GroupHom(self.src, self.dst, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GroupHom(self.src, self.dst, -self.matrix)
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, GroupHom)
             and self.src == other.src
             and self.dst == other.dst
-            and (self - other).is_zero()
+            and self.dst.first_nonzero(self.matrix - other.matrix) is None
         )
 
     def __hash__(self):

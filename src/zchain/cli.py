@@ -6,8 +6,10 @@ construction failed its certificate, and the evidence emitted), 2 means an
 input or validation error, 3 an internal error (a bug): any exception that
 is not a ZchainError, reported on stdout as an InternalError with its class
 name and message, with the traceback on stderr.  The ZCHAIN_MAX_RANK
-environment variable (default 64) caps every materialized rank; inputs or
-constructions that would exceed it abort with exit code 2.
+environment variable (default 64) caps input sizes, each group-ring group
+I(A) and I^2(A), each tensor degree and the verify window, but not a
+factorization's middle as a whole; inputs or constructions that would
+exceed it abort with exit code 2.
 """
 
 from __future__ import annotations

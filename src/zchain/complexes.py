@@ -2,18 +2,19 @@
 
 A complex stores groups on a contiguous support window and differentials
 d(n): group(n) -> group(n-1); outside the window every group is trivial and
-every map is zero.  The ``ChainComplex`` and ``ChainMap`` constructors check
-only shapes and endpoints and trust the rest; a differential or component
-whose endpoint equals the complex's group but is another object is rebuilt
-on the complex's own group, so derived kernels and cokernels are presented
-on the complex's own relations.  ``mk_complex`` and ``mk_chain_map`` are
-the checked entry points for objects from outside (well-definedness,
-d o d = 0, commuting squares).  What is built here is correct by
-construction and built unchecked; ``block_complex`` certifies d o d = 0
-and ``induced_map`` that its cycle solve succeeds.  Homology is
-returned as a presented subquotient together with cycle lifts, which is
-enough to compute induced maps exactly; ``is_acyclic`` needs no homology
-group and reads one presentation per degree off a free model instead.
+every map is zero.  The ``ChainComplex`` and ``ChainMap`` constructors,
+and ``mk_complex`` and ``mk_chain_map``, take every differential and
+component as an IntMatrix block and read it on the complexes' own groups,
+so derived kernels and cokernels are presented on the complexes' own
+relations.  The constructors check only shapes and trust the rest;
+``mk_complex`` and ``mk_chain_map`` are the checked entry points for
+objects from outside (well-definedness, d o d = 0, commuting squares).
+What is built here is correct by construction and built unchecked;
+``block_complex`` certifies d o d = 0 and ``induced_map`` that its cycle
+solve succeeds.  Homology is returned as a presented subquotient together
+with cycle lifts, which is enough to compute induced maps exactly;
+``is_acyclic`` needs no homology group and reads one presentation per
+degree off a free model instead.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .abelian import (
     GroupHom,
     cokernel,
     factor_through,
-    identity_hom,
     kernel,
     mk_group,
     preimage_lattice,
@@ -44,8 +44,9 @@ from .intlinalg import IntMatrix, _eliminate, hstack, kron, solve, vstack
 class ChainComplex:
     """Z-graded groups with differentials, trivial outside a bounded window.
 
-    Differentials may be GroupHoms or IntMatrix blocks; both are trusted to
-    be well defined with d o d = 0 (mk_complex checks them).
+    diffs maps a degree n to the IntMatrix block of d(n), read on the
+    complex's own groups and trusted to be well defined with d o d = 0
+    (mk_complex checks them); a missing degree is zero.
     """
 
     __slots__ = ("support", "_groups", "_diffs", "_homology")
@@ -62,15 +63,7 @@ class ChainComplex:
         for n in self.degrees()[1:]:
             d = diffs.get(n)
             src, dst = self.group(n), self.group(n - 1)
-            if d is None:
-                d = zero_hom(src, dst)
-            elif isinstance(d, IntMatrix):
-                d = GroupHom(src, dst, d)
-            elif d.src is not src or d.dst is not dst:
-                if d.src != src or d.dst != dst:
-                    raise NotAComplex(f"differential at degree {n} has wrong endpoints", n)
-                d = GroupHom(src, dst, d.matrix)
-            self._diffs[n] = d
+            self._diffs[n] = zero_hom(src, dst) if d is None else GroupHom(src, dst, d)
 
     def degrees(self):
         if self.support is None:
@@ -182,8 +175,9 @@ def zero_complex():
 
 
 class ChainMap:
-    """Degreewise homs commuting with the differentials.  Components may be
-    GroupHoms or IntMatrix blocks, trusted to be well defined and to commute
+    """Degreewise homs commuting with the differentials.  components maps a
+    degree n to the IntMatrix block of the component, read on src.group(n)
+    and dst.group(n) and trusted to be well defined and to commute
     (mk_chain_map checks them; certify.chain_map certifies solved maps).
     Immutable, so what is derived from the map alone is memoized on it (see
     ``memoized_on_map``)."""
@@ -193,17 +187,8 @@ class ChainMap:
     def __init__(self, src, dst, components):
         self.src = src
         self.dst = dst
-        comps = {}
-        for n, c in components.items():
-            g, h = src.group(n), dst.group(n)
-            if isinstance(c, IntMatrix):
-                c = GroupHom(g, h, c)
-            elif c.src is not g or c.dst is not h:
-                if c.src != g or c.dst != h:
-                    raise NotAChainMap(f"component at degree {n} has wrong endpoints", n)
-                c = GroupHom(g, h, c.matrix)
-            comps[n] = c
-        self._components = comps
+        self._components = {n: GroupHom(src.group(n), dst.group(n), m)
+                            for n, m in components.items()}
         self._memo = {}
 
     def component(self, n) -> GroupHom:
@@ -216,7 +201,7 @@ class ChainMap:
         if other.dst != self.src:
             raise DimensionMismatch("chain maps are not composable")
         degrees = set(other.src.degrees()) | set(self.dst.degrees()) | set(self.src.degrees())
-        comps = {n: self.component(n) @ other.component(n) for n in degrees}
+        comps = {n: self.component(n).matrix @ other.component(n).matrix for n in degrees}
         return ChainMap(other.src, self.dst, comps)
 
     def degrees(self):
@@ -227,13 +212,14 @@ class ChainMap:
         if self.src != other.src or self.dst != other.dst:
             raise DimensionMismatch("chain map sum shape mismatch")
         return ChainMap(self.src, self.dst,
-                        {n: self.component(n) + other.component(n) for n in self.degrees()})
+                        {n: self.component(n).matrix + other.component(n).matrix
+                         for n in self.degrees()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChainMap(self.src, self.dst, {n: -self.component(n) for n in self._components})
+        return ChainMap(self.src, self.dst, {n: -c.matrix for n, c in self._components.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
@@ -281,15 +267,15 @@ def mk_chain_map(src, dst, components):
         require_well_defined(c, n)
     degrees = f.degrees()
     for n in sorted({*degrees, *(d + 1 for d in degrees)}):
-        lhs = f.component(n - 1) @ src.diff(n)
-        rhs = dst.diff(n) @ f.component(n)
-        if not (lhs - rhs).is_zero():
+        lhs = f.component(n - 1).matrix @ src.diff(n).matrix
+        rhs = dst.diff(n).matrix @ f.component(n).matrix
+        if dst.group(n - 1).first_nonzero(lhs - rhs) is not None:
             raise NotAChainMap(f"square at degree {n} does not commute", n)
     return f
 
 
 def identity_chain_map(a):
-    return ChainMap(a, a, {n: identity_hom(a.group(n)) for n in a.degrees()})
+    return ChainMap(a, a, {n: IntMatrix.identity(a.group(n).ngens) for n in a.degrees()})
 
 
 def zero_chain_map(src, dst):
@@ -303,7 +289,7 @@ def sphere(n, m):
 
 def disk(n, m):
     """The group m in degrees n+1 and n with the identity differential between them."""
-    return ChainComplex({n: m, n + 1: m}, {n + 1: identity_hom(m)}, (n, n + 1))
+    return ChainComplex({n: m, n + 1: m}, {n + 1: IntMatrix.identity(m.ngens)}, (n, n + 1))
 
 
 def suspend(a, k):
@@ -315,7 +301,7 @@ def suspend(a, k):
     sign = -1 if k % 2 else 1
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        d = a.diff(n)
+        d = a.diff(n).matrix
         diffs[n + k] = d if sign == 1 else -d
     return ChainComplex(groups, diffs, (lo + k, hi + k))
 
@@ -439,9 +425,9 @@ def kernel_complex(f):
     """Degreewise kernels of a chain map, with the inclusion."""
     incls = {n: kernel(f.component(n))[1] for n in f.src.degrees()}
     kc = ChainComplex({n: incl.src for n, incl in incls.items()},
-                      {n: factor_through(incls[n - 1], f.src.diff(n) @ incls[n])
+                      {n: factor_through(incls[n - 1], f.src.diff(n) @ incls[n]).matrix
                        for n in f.src.degrees()[1:]}, f.src.support)
-    return kc, ChainMap(kc, f.src, {n: incls[n] for n in kc.degrees()})
+    return kc, ChainMap(kc, f.src, {n: incls[n].matrix for n in kc.degrees()})
 
 
 @memoized_on_map
@@ -450,7 +436,7 @@ def cokernel_complex(f):
     pieces = {n: cokernel(f.component(n)) for n in f.dst.degrees()}
     cc = ChainComplex({n: q for n, (q, _) in pieces.items()},
                       {n: f.dst.diff(n).matrix for n in f.dst.degrees()[1:]}, f.dst.support)
-    proj = ChainMap(f.dst, cc, {n: p for n, (_, p) in pieces.items()})
+    proj = ChainMap(f.dst, cc, {n: p.matrix for n, (_, p) in pieces.items()})
     return cc, proj
 
 
@@ -515,5 +501,5 @@ def _tensor_map(f, g, src_pair, dst_pair):
 
 def map_from_disk(a, n, v):
     """Chain map disk(n, m) -> a from a hom v: m -> a_{n+1}."""
-    return ChainMap(disk(n, v.src), a, {n + 1: v, n: a.diff(n + 1) @ v})
+    return ChainMap(disk(n, v.src), a, {n + 1: v.matrix, n: a.diff(n + 1).matrix @ v.matrix})
 

@@ -105,10 +105,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {list(map(list, self.data))})"
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
     def col(self, j):
         return tuple(r[j] for r in self.data)
 

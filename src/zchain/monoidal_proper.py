@@ -87,7 +87,7 @@ class PullbackData:
         for n in u.src.degrees():
             pair = GroupHom(u.src.group(n), self.incl.dst.group(n),
                             vstack([u.component(n).matrix, v.component(n).matrix]))
-            comps[n] = factor_through(self.incl.component(n), pair)
+            comps[n] = factor_through(self.incl.component(n), pair).matrix
         out = ChainMap(u.src, self.complex, comps)
         certify.chain_map(out, "PullbackData.induce")
         return out
@@ -219,7 +219,7 @@ def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:
         ker_new, ker_incl = kernel_complex(pulled_fib)
         # the kernel of the pulled-back fibration maps isomorphically onto ker q
         to_l = pb.to_first @ ker_incl
-        comp_comps = {n: factor_through(ker_q_incl.component(n), to_l.component(n))
+        comp_comps = {n: factor_through(ker_q_incl.component(n), to_l.component(n)).matrix
                       for n in ker_new.degrees()}
         comp = ChainMap(ker_new, ker_q, comp_comps)
         certify.chain_map(comp, "check_proper")

@@ -149,7 +149,7 @@ def random_finite_complex(rng, max_order=8, lo=-3, hi=3, max_pieces=3, with_piec
             m = budget.take(rng, n + 1)
             p = budget.take(rng, n)
             u = random_hom(rng, m, p)
-            parts.append(mk_complex((n, n + 1), {n + 1: m, n: p}, {n + 1: u}))
+            parts.append(mk_complex((n, n + 1), {n + 1: m, n: p}, {n + 1: u.matrix}))
             descr.append(("opaque", None, None))
         elif kind == "tower":
             m = budget.take(rng, n + 2)
@@ -160,7 +160,7 @@ def random_finite_complex(rng, max_order=8, lo=-3, hi=3, max_pieces=3, with_piec
             u = random_hom(rng, m, kgrp)
             a = incl @ u
             parts.append(mk_complex((n, n + 2), {n + 2: m, n + 1: p, n: q},
-                                    {n + 2: a, n + 1: b}))
+                                    {n + 2: a.matrix, n + 1: b.matrix}))
             descr.append(("opaque", None, None))
         else:
             f = random_free_complex(rng, max_rank=1, lo=n, length=2)
@@ -226,7 +226,7 @@ def random_map_out(rng, ps, target, max_order=8):
             if zc.ngens == 0:
                 continue
             u = random_hom(rng, m, zc)
-            piece_map = mk_chain_map(ps.projs[k].dst, target, {n: incl @ u})
+            piece_map = mk_chain_map(ps.projs[k].dst, target, {n: (incl @ u).matrix})
         elif kind == "disk":
             if target.group(n + 1).ngens == 0:
                 continue
@@ -259,7 +259,7 @@ def random_finite_chain_map(rng, max_order=8, lo=-3, hi=3, max_pieces=3,
         p = dst_budget.take(rng, n)
         dst_budget.left[n + 1] = max(1, dst_budget.left.get(n + 1, max_order)
                                      // max(p.order(), 1))
-        u = random_hom(rng, m, p)
+        u = random_hom(rng, m, p).matrix
         if kind == "sphere":
             src, dst, comps = sphere(n, m), sphere(n, p), {n: u}
             src_descr.append(("sphere", n, m))

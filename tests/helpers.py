@@ -54,15 +54,15 @@ def augmentation_data(a):
 
 def map_to_disk(a, n, u):
     """Chain map a -> disk(n, m) from a hom u: a_n -> m."""
-    return mk_chain_map(a, disk(n, u.dst), {n: u, n + 1: u @ a.diff(n + 1)})
+    return mk_chain_map(a, disk(n, u.dst), {n: u.matrix, n + 1: (u @ a.diff(n + 1)).matrix})
 
 
 def map_to_sphere(a, n, u):
     """Chain map a -> sphere(n, m) from a hom u on a_n vanishing on boundaries."""
-    return mk_chain_map(a, sphere(n, u.dst), {n: u})
+    return mk_chain_map(a, sphere(n, u.dst), {n: u.matrix})
 
 
 def map_from_sphere(a, n, v_into_cycles, cycles_incl):
     """Chain map sphere(n, m) -> a from a hom m -> cycles composed with the
     inclusion of the cycle subgroup."""
-    return mk_chain_map(sphere(n, v_into_cycles.src), a, {n: cycles_incl @ v_into_cycles})
+    return mk_chain_map(sphere(n, v_into_cycles.src), a, {n: (cycles_incl @ v_into_cycles).matrix})

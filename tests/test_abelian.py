@@ -83,6 +83,10 @@ def test_mk_hom_examples():
     h = mk_hom(Zmod(2), Zmod(4), [[2]])
     assert h.dst.canon(h.matrix.mul_vec((1,))) == (2,)
 
+    # equality reads the matrices in the target: 2 is 0 in Z/2, 1 is not
+    assert mk_hom(Z, Zmod(2), [[2]]) == mk_hom(Z, Zmod(2), [[0]])
+    assert mk_hom(Z, Zmod(2), [[1]]) != mk_hom(Z, Zmod(2), [[0]])
+
 
 def test_kernel_cokernel_examples():
     Z = free_group(1)

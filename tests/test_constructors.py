@@ -1,10 +1,12 @@
 """One constructor per type, three kinds of check.
 
-``GroupHom``, ``ChainComplex`` and ``ChainMap`` check only shapes and
-endpoints.  Objects correct by construction are built unchecked (kind 1);
-values that come out of a solve are certified by ``certify.chain_map`` and
-fail with CertificateFailed (kind 2); ``mk_hom``, ``mk_complex`` and
-``mk_chain_map`` check what comes from outside (kind 3).
+``GroupHom``, ``ChainComplex`` and ``ChainMap`` check only shapes.
+``ChainComplex`` and ``ChainMap`` take IntMatrix blocks and read each one on
+the complexes' own groups, so there are no endpoints to compare.  Objects
+correct by construction are built unchecked (kind 1); values that come out
+of a solve are certified by ``certify.chain_map`` and fail with
+CertificateFailed (kind 2); ``mk_hom``, ``mk_complex`` and ``mk_chain_map``
+check what comes from outside (kind 3).
 """
 
 import ast
@@ -111,9 +113,10 @@ def checked_constructors(monkeypatch):
 
     hook(GroupHom, lambda h: mk_hom(h.src, h.dst, h.matrix))
     hook(ChainComplex, lambda c: mk_complex(
-        c.support, {n: c.group(n) for n in c.degrees()}, {n: c.diff(n) for n in c.degrees()}))
+        c.support, {n: c.group(n) for n in c.degrees()},
+        {n: c.diff(n).matrix for n in c.degrees()}))
     hook(ChainMap, lambda f: mk_chain_map(
-        f.src, f.dst, {n: f.component(n) for n in degrees(f)}))
+        f.src, f.dst, {n: f.component(n).matrix for n in degrees(f)}))
     return counts
 
 

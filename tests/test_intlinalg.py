@@ -316,7 +316,7 @@ def snf_solve(M, B):
         return None
     Y = []
     for i in range(res.rank):
-        d = res.D[i, i]
+        d = res.D.data[i][i]
         if any(x % d for x in C.data[i]):
             return None
         Y.append([x // d for x in C.data[i]])

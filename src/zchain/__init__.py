@@ -80,7 +80,8 @@ from .lifting import (
     lift_against_acyclic_fibration,
     lift_from_splitting,
     nullhomotopy,
-    rlp_instance,
+    rlp_disk,
+    rlp_sphere,
     section_over_contractible,
     solve_lift,
     split_ses,

@@ -7,9 +7,9 @@ input or validation error, 3 an internal error (a bug): any exception that
 is not a ZchainError, reported on stdout as an InternalError with its class
 name and message, with the traceback on stderr.  The ZCHAIN_MAX_RANK
 environment variable (default 64) caps input sizes, each group-ring group
-I(A) and I^2(A), each tensor degree and the verify window, but not a
-factorization's middle as a whole; inputs or constructions that would
-exceed it abort with exit code 2.
+I(A) and I^2(A), each tensor degree, the verify window and its
+--max-order (cap + 1), but not a factorization's middle as a whole; inputs
+or constructions that would exceed it abort with exit code 2.
 """
 
 from __future__ import annotations
@@ -248,6 +248,9 @@ def _cmd_verify(args, cap):
         raise DocumentError("--cases must be at least 1", code="bad_flag")
     if max_order < 2:
         raise DocumentError("--max-order must be at least 2", code="bad_flag")
+    if max_order > cap + 1:
+        raise DocumentError(f"--max-order {max_order} exceeds the cap {cap} plus one",
+                            code="bad_flag")
     report = run_verify(args.seed, cases, max_order=max_order, degrees=degrees)
     return report, 0 if report["status"] == "pass" else 1
 
@@ -313,7 +316,8 @@ def build_parser():
     p.add_argument("--seed", default="0")
     p.add_argument("--cases", default="10", help="cases per axiom, at least 1")
     p.add_argument("--max-order", default="6",
-                   help="largest group order per degree, at least 2")
+                   help="largest group order per degree, at least 2 and at most "
+                        f"ZCHAIN_MAX_RANK + 1 ({DEFAULT_MAX_RANK + 1} at the default cap)")
     p.add_argument("--degrees", default="-2..2",
                    help="degree window LO..HI spanning at least four degrees (HI - LO >= 3) "
                         f"and at most ZCHAIN_MAX_RANK degrees (default {DEFAULT_MAX_RANK})")

@@ -19,6 +19,9 @@ with i injective (cokernel C) and q surjective (kernel K), is:
      section over C (when C is contractible and free);
   3. push the splitting through the pullback to obtain the diagonal B -> L.
 
+Single instances against the generating cofibrations 0 -> D^n and
+S^n -> D^n over Z are ``rlp_disk`` and ``rlp_sphere``.
+
 Nullhomotopies against acyclic complexes and graded lifts through
 surjections are the workhorses.  Every choice is resolved by canonical
 normal-form solutions, so the returned lift is deterministic; every homotopy,
@@ -177,7 +180,7 @@ def section_over_contractible(r: ChainMap) -> ChainMap:
     """
     c = r.dst
     split = split_free_complex(c)  # NotFree on torsion
-    h = is_contractible(c, split)
+    h = is_contractible(split)
     if h is None:
         raise NotContractible("target complex is not contractible")
     if not cokernel_complex(r)[0].is_zero():
@@ -275,35 +278,29 @@ def solve_lift(problem: LiftProblem) -> ChainMap:
     cls_i = classify(problem.i)
     cls_q = classify(problem.q)
     if cls_i.cofibration and cls_q.acyclic_fibration:
-        ext = build_T(problem)
-        section = split_ses(ext.r)
-        return lift_from_splitting(ext, section)
-    if cls_i.acyclic_cofibration and cls_q.fibration:
-        ext = build_T(problem)
-        section = section_over_contractible(ext.r)
-        return lift_from_splitting(ext, section)
-    raise NotLiftable("square is not in a supported configuration")
+        section = split_ses
+    elif cls_i.acyclic_cofibration and cls_q.fibration:
+        section = section_over_contractible
+    else:
+        raise NotLiftable("square is not in a supported configuration")
+    ext = build_T(problem)
+    return lift_from_splitting(ext, section(ext.r))
 
 
-def rlp_instance(q: ChainMap, gen: str, n: int, a=None, bprime=None):
-    """One lifting instance against a generating cofibration over Z.
+def rlp_disk(q: ChainMap, n: int, bprime):
+    """Lifting against the generating cofibration 0 -> D^n: given b' in
+    B_{n+1}, return x in A_{n+1} with q(x) = b', or None if there is none."""
+    bprime = q.dst.group(n + 1).canon(tuple(bprime))
+    x = preimage(q.component(n + 1), IntMatrix.from_cols([bprime]))
+    return None if x is None else x.col(0)
 
-    gen="disk" (empty -> disk at n): return x in A_{n+1} with q(x) = b'.
-    gen="sphere" (sphere -> disk at n): given a cycle a in degree n and b'
-    in B_{n+1} with d b' = q(a), return x with d x = a and q(x) = b', found
-    by one integer linear system.  None certifies an unsolvable instance.
-    """
+
+def rlp_sphere(q: ChainMap, n: int, a, bprime):
+    """Lifting against the generating cofibration S^n -> D^n: given a cycle
+    a in A_n and b' in B_{n+1} with d b' = q(a), one integer linear system
+    gives x in A_{n+1} with d x = a and q(x) = b', or None if there is none."""
     src, dst = q.src, q.dst
-    if bprime is None:
-        raise PreconditionFailed("instance needs a target element")
     bprime = dst.group(n + 1).canon(tuple(bprime))
-    if gen == "disk":
-        x = preimage(q.component(n + 1), IntMatrix.from_cols([bprime]))
-        return None if x is None else x.col(0)
-    if gen != "sphere":
-        raise ValueError(f"unknown generator kind: {gen}")
-    if a is None:
-        raise PreconditionFailed("sphere instance needs a cycle")
     a = src.group(n).canon(tuple(a))
     if not src.group(n - 1).contains_zero(src.diff(n).matrix.mul_vec(a)):
         raise PreconditionFailed("given element is not a cycle")

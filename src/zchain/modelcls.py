@@ -192,18 +192,17 @@ class Homotopy:
         return m
 
 
-def is_contractible(a: ChainComplex, split: FreeSplitting | None = None):
-    """The contraction s: a homotopy on a with d s + s d = 1, or None.
+def is_contractible(split: FreeSplitting):
+    """The contraction of a = split.complex: a homotopy s with d s + s d = 1, or None.
 
-    Requires a degreewise-free complex; the criterion is that every d' is an
-    isomorphism of free groups.  The Y_n basis is carried by d onto the HNF
-    basis of the image of d_n, and the Z_{n-1} basis is the HNF basis of the
-    cycles, so the injective d'_n is an isomorphism exactly when the two
-    lattices, and so the two bases, are equal: when d'_n is the identity.
-    Then s_n sends the cycle with coordinates z to the y with d y = z.
+    The criterion is that every d' is an isomorphism of free groups.  The
+    Y_n basis is carried by d onto the HNF basis of the image of d_n, and
+    the Z_{n-1} basis is the HNF basis of the cycles, so the injective d'_n
+    is an isomorphism exactly when the two lattices, and so the two bases,
+    are equal: when d'_n is the identity.  Then s_n sends the cycle with
+    coordinates z to the y with d y = z.
     """
-    if split is None:
-        split = split_free_complex(a)
+    a = split.complex
     for n in a.window(1):
         k = split.y_rank(n)
         if k != split.z_rank(n - 1) or (k and split.dprime(n) != IntMatrix.identity(k)):

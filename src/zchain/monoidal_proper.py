@@ -183,48 +183,36 @@ def _homology_ladder(h, key):
 
 def check_proper(kind: str, one: ChainMap, other: ChainMap) -> ProperReport:
     """kind="pushout": one = cofibration i: A -> B, other = weak equivalence
-    f: A -> C; certifies the induced B -> P.  kind="pullback": one =
-    fibration q: L -> M, other = weak equivalence g: B -> M; certifies the
-    induced P -> L."""
+    f: A -> C; certifies B -> P by its map of cokernels.  kind="pullback":
+    one = fibration q: L -> M, other = weak equivalence g: B -> M; certifies
+    P -> L by its map of kernels."""
+    if kind not in ("pushout", "pullback"):
+        raise ValueError(f"unknown square kind: {kind}")
+    needed, side = ("cofibration", "cokernel") if kind == "pushout" else ("fibration", "kernel")
+    cls_one, cls_other = classify(one), classify(other)
+    if not getattr(cls_one, needed):
+        raise PreconditionFailed(f"first map must be a {needed}")
+    if not cls_other.weak_equivalence:
+        raise PreconditionFailed("second map must be a weak equivalence")
     if kind == "pushout":
-        cls_i = classify(one)
-        cls_f = classify(other)
-        if not cls_i.cofibration:
-            raise PreconditionFailed("first map must be a cofibration")
-        if not cls_f.weak_equivalence:
-            raise PreconditionFailed("second map must be a weak equivalence")
         po = pushout(one, other)
         opposite = po.from_first
-        j_new = po.from_second
-        coker_i, _ = cokernel_complex(one)
-        coker_j, _ = cokernel_complex(j_new)
-        h = ChainMap(coker_i, coker_j,
-                     {n: po.from_first.component(n).matrix for n in coker_i.degrees()})
-        certify.chain_map(h, "check_proper")
-        ladder = _homology_ladder(h, "cokernel_map_iso")
-        certify.ladder(ladder, "cokernel_map_iso", "check_proper",
-                       "cokernel comparison of the pushout is not an isomorphism")
-        return ProperReport("pushout", opposite, classify(opposite), ladder)
-    if kind == "pullback":
-        cls_q = classify(one)
-        cls_g = classify(other)
-        if not cls_q.fibration:
-            raise PreconditionFailed("first map must be a fibration")
-        if not cls_g.weak_equivalence:
-            raise PreconditionFailed("second map must be a weak equivalence")
+        src, _ = cokernel_complex(one)
+        dst, _ = cokernel_complex(po.from_second)
+        comps = {n: opposite.component(n).matrix for n in src.degrees()}
+    else:
         pb = pullback(one, other)
         opposite = pb.to_first        # P -> L, covering the weak equivalence
-        pulled_fib = pb.to_second     # P -> B, the pulled-back fibration
-        ker_q, ker_q_incl = kernel_complex(one)
-        ker_new, ker_incl = kernel_complex(pulled_fib)
-        # the kernel of the pulled-back fibration maps isomorphically onto ker q
-        to_l = pb.to_first @ ker_incl
-        comp_comps = {n: factor_through(ker_q_incl.component(n), to_l.component(n)).matrix
-                      for n in ker_new.degrees()}
-        comp = ChainMap(ker_new, ker_q, comp_comps)
-        certify.chain_map(comp, "check_proper")
-        ladder = _homology_ladder(comp, "kernel_map_iso")
-        certify.ladder(ladder, "kernel_map_iso", "check_proper",
-                       "kernel comparison of the pullback is not an isomorphism")
-        return ProperReport("pullback", opposite, classify(opposite), ladder)
-    raise ValueError(f"unknown square kind: {kind}")
+        dst, ker_q_incl = kernel_complex(one)
+        # the kernel of the pulled-back fibration P -> B maps isomorphically onto ker q
+        src, ker_incl = kernel_complex(pb.to_second)
+        to_l = opposite @ ker_incl
+        comps = {n: factor_through(ker_q_incl.component(n), to_l.component(n)).matrix
+                 for n in src.degrees()}
+    h = ChainMap(src, dst, comps)
+    certify.chain_map(h, "check_proper")
+    key = f"{side}_map_iso"
+    ladder = _homology_ladder(h, key)
+    certify.ladder(ladder, key, "check_proper",
+                   f"{side} comparison of the {kind} is not an isomorphism")
+    return ProperReport(kind, opposite, classify(opposite), ladder)

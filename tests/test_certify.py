@@ -133,7 +133,7 @@ def test_corrupted_contraction_fails_the_homotopy_identity():
     split.degrees[0].z_coords = split.degrees[0].z_coords.scale(2)
     split.dprime = lambda n: IntMatrix.identity(split.y_rank(n))
     with pytest.raises(CertificateFailed) as info:
-        is_contractible(a, split)
+        is_contractible(split)
     assert info.value.details == {"construction": "is_contractible", "degree": 0,
                                   "witness": {"generator": 0, "value": [1]}}
 

@@ -532,6 +532,32 @@ def test_verify_degree_window_is_capped(capsys, monkeypatch, cap, window, reache
         assert calls == []
 
 
+@pytest.mark.parametrize("cap, order, reaches", [
+    (None, "65", True),
+    (None, "66", False),
+    (None, "4096", False),
+    ("8", "9", True),
+    ("8", "10", False),
+])
+def test_verify_max_order_is_capped(capsys, monkeypatch, cap, order, reaches):
+    # every group verify draws has order at most --max-order, and I(A) has
+    # rank |A| - 1, so the cap bounds the order by cap + 1
+    calls = []
+    monkeypatch.setattr("zchain.cli.run_verify", lambda *args, max_order, **kwargs:
+                        calls.append(max_order) or {"status": "pass"})
+    if cap is None:
+        monkeypatch.delenv("ZCHAIN_MAX_RANK", raising=False)
+    else:
+        monkeypatch.setenv("ZCHAIN_MAX_RANK", cap)
+    code, out = run_cli(capsys, ["verify", "--max-order", order])
+    if reaches:
+        assert (code, calls) == (0, [int(order)])
+    else:
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "bad_flag"
+        assert calls == []
+
+
 @pytest.mark.parametrize("env, flags, code", [
     (None, ["--degrees", "1_0..1_5"], "bad_flag"),
     (None, ["--degrees", "\u0660..\u0663"], "bad_flag"),

@@ -242,7 +242,7 @@ def test_verify_flags_exit_cleanly(monkeypatch):
         if code == 0:
             assert payload == {"status": "pass"}
             [(n, order, (lo, hi))] = calls
-            assert n >= 1 and order >= 2 and 4 <= hi - lo + 1 <= CAP
+            assert n >= 1 and 2 <= order <= CAP + 1 and 4 <= hi - lo + 1 <= CAP
             assert all(DECIMAL.fullmatch(str(x)) for x in (cases, max_order, *degrees.split("..")))
         else:
             assert code == 2

@@ -24,7 +24,8 @@ from zchain.lifting import (
     lift_against_acyclic_fibration,
     lift_from_splitting,
     nullhomotopy,
-    rlp_instance,
+    rlp_disk,
+    rlp_sphere,
     section_over_contractible,
     solve_lift,
     split_ses,
@@ -231,20 +232,20 @@ def test_rlp_instance_examples():
     g_res, p = gamma(s2)
 
     # surjectivity instances always solvable against a fibration
-    x = rlp_instance(p, "disk", -1, bprime=(1,))
+    x = rlp_disk(p, -1, (1,))
     p0 = p.component(0)
     assert x is not None and p0.dst.canon(p0.matrix.mul_vec(x)) == (1,)
 
     # sphere instance on the cover: d x = 2 * generator with zero image below
     a = (2,)
-    x = rlp_instance(p, "sphere", 0, a=a, bprime=())
+    x = rlp_sphere(p, 0, a, ())
     assert x is not None
     assert g_res.diff(1).matrix.mul_vec(x) == (2,)
 
     # odd target is not hit by multiplication by two
     s = sphere(0, Z)
     times2 = mk_chain_map(s, s, {0: IntMatrix.from_rows([[2]])})
-    assert rlp_instance(times2, "disk", -1, bprime=(1,)) is None
+    assert rlp_disk(times2, -1, (1,)) is None
 
 
 def test_rlp_detects_acyclic_fibrations():
@@ -269,21 +270,28 @@ def test_rlp_detects_acyclic_fibrations():
         assert (witness is None) == expected
         if witness is not None:
             n, cyc, bp = witness
-            assert rlp_instance(q, "sphere", n, a=cyc, bprime=bp) is None
+            assert rlp_sphere(q, n, cyc, bp) is None
         else:
             a, b = q.src, q.dst
             for n in sorted(set(a.window(0)) | set(b.window(0))):
                 a0 = random_element(rng, a.group(n + 1))
                 cyc = a.group(n).canon(a.diff(n + 1).matrix.mul_vec(a0))
                 bp = b.group(n + 1).canon(q.component(n + 1).matrix.mul_vec(a0))
-                assert rlp_instance(q, "sphere", n, a=cyc, bprime=bp) is not None
+                assert rlp_sphere(q, n, cyc, bp) is not None
 
 
 def test_rlp_validates_squares():
+    # on the disk Z --1--> Z in degrees 1, 0 the generator of degree 1 is no
+    # cycle; on S^0(Z) mapped by 2, B_1 = 0 gives d b' = 0, while q a = 2
+    d = disk(0, Z)
+    with pytest.raises(PreconditionFailed) as info:
+        rlp_sphere(identity_chain_map(d), 1, (1,), ())
+    assert str(info.value) == "given element is not a cycle"
     s = sphere(0, Z)
     times2 = mk_chain_map(s, s, {0: IntMatrix.from_rows([[2]])})
-    with pytest.raises(PreconditionFailed):
-        rlp_instance(times2, "sphere", 0, a=None, bprime=())
+    with pytest.raises(PreconditionFailed) as info:
+        rlp_sphere(times2, 0, (1,), ())
+    assert str(info.value) == "square does not commute: d b' differs from q a"
 
 
 def test_section_over_contractible_agrees_with_inverse_formula():

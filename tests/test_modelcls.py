@@ -198,7 +198,7 @@ def test_split_free_complex_examples():
     a = mk_complex((0, 1), {0: Z, 1: Z}, {1: IntMatrix.zeros(1, 1)})
     sp = split_free_complex(a)
     assert sp.y_rank(0) == 0 and sp.y_rank(1) == 0
-    assert is_contractible(a) is None
+    assert is_contractible(sp) is None
 
 
 def test_split_free_complex_rejects_torsion():
@@ -225,7 +225,7 @@ def test_contractibility_matches_acyclicity():
     rng = random.Random("contract-acyclic")
     for _ in range(30):
         a = _random_free_complex(rng)
-        s = is_contractible(a)
+        s = is_contractible(split_free_complex(a))
         assert (s is not None) == a.is_acyclic()
         if s is not None:
             for n in a.degrees():
@@ -248,7 +248,7 @@ def test_is_contractible_agrees_with_dprime_inverse_oracle():
     seen = set()
     for a in complexes_:
         split = split_free_complex(a)
-        contractible = is_contractible(a, split) is not None
+        contractible = is_contractible(split) is not None
         assert contractible == dprime_invertible(split)
         with_y = [n for n in a.degrees() if split.y_rank(n)]
         if contractible:
@@ -281,10 +281,10 @@ def test_dprime_agrees_with_solve_oracle():
 
 
 def test_contractible_examples():
-    assert is_contractible(disk(0, Z)) is not None
-    assert is_contractible(sphere(0, Z)) is None
+    assert is_contractible(split_free_complex(disk(0, Z))) is not None
+    assert is_contractible(split_free_complex(sphere(0, Z))) is None
     total, _, _ = dsum_complex([disk(0, Z), disk(2, Z)])
-    s = is_contractible(total)
+    s = is_contractible(split_free_complex(total))
     assert s is not None
 
 

@@ -236,3 +236,23 @@ def test_check_proper_preconditions():
     times2 = mk_chain_map(s, s, {0: IntMatrix.from_rows([[2]])})
     with pytest.raises(PreconditionFailed):
         check_proper("pushout", times2, identity_chain_map(s))
+
+
+@pytest.mark.parametrize("kind, first, second, error, message", [
+    ("pushout", "times2", "identity", PreconditionFailed, "first map must be a cofibration"),
+    ("pullback", "times2", "identity", PreconditionFailed, "first map must be a fibration"),
+    ("pushout", "identity", "zero", PreconditionFailed, "second map must be a weak equivalence"),
+    ("pullback", "identity", "zero", PreconditionFailed, "second map must be a weak equivalence"),
+    ("pushforward", "identity", "identity", ValueError, "unknown square kind: pushforward"),
+])
+def test_check_proper_refusals_name_the_failing_map(kind, first, second, error, message):
+    # times 2 on Z is injective with torsion cokernel and not surjective, so
+    # it is neither a cofibration nor a fibration; the zero map is no weak
+    # equivalence of S^0(Z)
+    s = sphere(0, Z)
+    maps = {"times2": mk_chain_map(s, s, {0: IntMatrix.from_rows([[2]])}),
+            "identity": identity_chain_map(s),
+            "zero": zero_chain_map(s, s)}
+    with pytest.raises(error) as info:
+        check_proper(kind, maps[first], maps[second])
+    assert str(info.value) == message

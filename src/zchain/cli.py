@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from .errors import CertificateFailed, DocumentError, RankCapExceeded, ZchainError
 from .documents import (complex_to_doc, decimal_string, doc_to_complex, doc_to_lift_problem,
@@ -29,7 +28,6 @@ from .intlinalg import snf
 from .lifting import solve_lift
 from .modelcls import classify
 from .monoidal_proper import check_proper, pushout_product
-from .verify import run_verify
 
 DEFAULT_MAX_RANK = 64
 
@@ -251,6 +249,10 @@ def _cmd_verify(args, cap):
     if max_order > cap + 1:
         raise DocumentError(f"--max-order {max_order} exceeds the cap {cap} plus one",
                             code="bad_flag")
+    # loaded here, not at the top: no other command needs verify or randgen,
+    # and importing them would add to every command's start-up
+    from .verify import run_verify
+
     report = run_verify(args.seed, cases, max_order=max_order, degrees=degrees)
     return report, 0 if report["status"] == "pass" else 1
 
@@ -363,6 +365,8 @@ def main(argv=None):
         _emit({"error": error}, fmt)
         return 1 if failed else 2
     except Exception as e:  # a bug: its traceback goes to stderr
+        import traceback  # only this path needs it; a run without a bug never loads it
+
         traceback.print_exc()
         _emit({"error": {"type": "InternalError", "exception": type(e).__name__,
                          "message": str(e)}}, fmt)

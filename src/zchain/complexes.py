@@ -19,7 +19,6 @@ degree off a free model instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 
 from . import certify
@@ -338,12 +337,12 @@ def cone(a):
     return c, incl
 
 
-@dataclass
 class HomologyClassData:
     """Presentation of ker d_n / im d_{n+1} with explicit cycle lifts."""
 
-    group: FgAbGroup
-    cycle_lift: IntMatrix  # columns: a cycle in the ambient group per generator
+    def __init__(self, group: FgAbGroup, cycle_lift: IntMatrix):
+        self.group = group
+        self.cycle_lift = cycle_lift  # columns: a cycle in the ambient group per generator
 
     def lift(self, coords):
         """Cycle vector representing the class with the given coordinates."""

@@ -31,8 +31,6 @@ construction and built unchecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import certify
 from .errors import InfiniteGroup, PreconditionFailed
 from .abelian import GroupHom
@@ -43,7 +41,6 @@ from .lifting import LiftProblem
 from .modelcls import MapClassification, classify
 
 
-@dataclass
 class Factorization:
     """f = right o left through the middle complex, with labelled summands.
 
@@ -52,12 +49,15 @@ class Factorization:
     came from which functor applied to which degree.
     """
 
-    middle: ChainComplex
-    left: ChainMap
-    right: ChainMap
-    summands: dict
-    left_classification: MapClassification
-    right_classification: MapClassification
+    def __init__(self, middle: ChainComplex, left: ChainMap, right: ChainMap, summands: dict,
+                 left_classification: MapClassification,
+                 right_classification: MapClassification):
+        self.middle = middle
+        self.left = left
+        self.right = right
+        self.summands = summands
+        self.left_classification = left_classification
+        self.right_classification = right_classification
 
 
 class _IData:

@@ -15,36 +15,35 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import certify
 from .errors import InfiniteGroup, RankCapExceeded
 from .abelian import FgAbGroup, GroupHom, free_group, is_isomorphic, mk_group, preimage_lattice
 from .intlinalg import IntMatrix, solve
 
 
-@dataclass
 class IGroup:
     """The augmentation ideal I(A), free on [a]-[0] for nonzero a."""
 
-    base: FgAbGroup
-    free: FgAbGroup                   # free on the nonzero elements
-    nonzero_elements: tuple
-    index: dict                       # canonical coords -> basis position
-    theta_restricted: GroupHom        # I(A) -> A
+    def __init__(self, base: FgAbGroup, free: FgAbGroup, nonzero_elements: tuple, index: dict,
+                 theta_restricted: GroupHom):
+        self.base = base
+        self.free = free                            # free on the nonzero elements
+        self.nonzero_elements = nonzero_elements
+        self.index = index                          # canonical coords -> basis position
+        self.theta_restricted = theta_restricted    # I(A) -> A
 
     @property
     def rank(self):
         return self.free.ngens
 
 
-@dataclass
 class I2Group:
     """I^2(A) = ker(theta: I(A) -> A) with its basis inside the I basis."""
 
-    ig: IGroup                        # the I(A) it sits in
-    free: FgAbGroup
-    inclusion_matrix: IntMatrix       # I coordinates of each I^2 basis vector
+    def __init__(self, ig: IGroup, free: FgAbGroup, inclusion_matrix: IntMatrix):
+        self.ig = ig                                # the I(A) it sits in
+        self.free = free
+        self.inclusion_matrix = inclusion_matrix    # I coordinates of each I^2 basis vector
 
     @property
     def rank(self):

@@ -11,7 +11,6 @@ and Nx0 matrices are legal throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count
 from operator import mul
@@ -297,14 +296,30 @@ def hnf(m):
     return IntMatrix(nrows, ncols, H), IntMatrix(nrows, nrows, U)
 
 
-@dataclass(frozen=True)
 class SnfResult:
-    """Smith normal form data: U @ A @ V == D with U, V unimodular."""
+    """Smith normal form data: U @ A @ V == D with U, V unimodular.
 
-    D: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
-    rank: int
+    Immutable, compared and hashed by value."""
+
+    __slots__ = ("D", "U", "V", "rank")
+
+    def __init__(self, D: IntMatrix, U: IntMatrix, V: IntMatrix, rank: int):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SnfResult is immutable")
+
+    def _key(self):
+        return self.D, self.U, self.V, self.rank
+
+    def __eq__(self, other):
+        return isinstance(other, SnfResult) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def diagonal(self):

@@ -30,8 +30,6 @@ section, extension and lift is certified through ``zchain.certify``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import certify
 from .errors import (
     NotAcyclic,
@@ -58,28 +56,26 @@ from .modelcls import Homotopy, classify, is_contractible, split_free_complex
 from .monoidal_proper import pullback
 
 
-@dataclass
 class LiftProblem:
     """Commutative square q o f = g o i, checked at construction; a failure
     names the least degree where the corners differ or the square does not
     commute."""
 
-    i: ChainMap
-    q: ChainMap
-    f: ChainMap
-    g: ChainMap
-
-    def __post_init__(self):
+    def __init__(self, i: ChainMap, q: ChainMap, f: ChainMap, g: ChainMap):
+        self.i = i
+        self.q = q
+        self.f = f
+        self.g = g
         for message, corners in (
                 ("top map endpoints do not match the square",
-                 ((self.f.src, self.i.src), (self.f.dst, self.q.src))),
+                 ((f.src, i.src), (f.dst, q.src))),
                 ("bottom map endpoints do not match the square",
-                 ((self.g.src, self.i.dst), (self.g.dst, self.q.dst)))):
+                 ((g.src, i.dst), (g.dst, q.dst)))):
             for a, b in corners:
                 n = a.first_difference(b)
                 if n is not None:
                     raise PreconditionFailed(message, n)
-        bad = (self.q @ self.f).first_difference(self.g @ self.i)
+        bad = (q @ f).first_difference(g @ i)
         if bad is not None:
             raise PreconditionFailed("square does not commute", bad[0])
 
@@ -203,22 +199,24 @@ def section_over_contractible(r: ChainMap) -> ChainMap:
     return s
 
 
-@dataclass
 class Extension:
     """The short exact sequence K -> T -> C attached to a lifting square,
     with the pullback witnesses used to convert splittings into lifts."""
 
-    K: ChainComplex
-    T: ChainComplex
-    C: ChainComplex
-    k: ChainMap          # K -> T
-    r: ChainMap          # T -> C
-    Z: ChainComplex      # pullback of (q, g)
-    gtilde: ChainMap     # Z -> L
-    qtilde: ChainMap     # Z -> B
-    ptilde: ChainMap     # Z -> T
-    pC: ChainMap         # B -> C (cokernel projection of i)
-    problem: LiftProblem
+    def __init__(self, K: ChainComplex, T: ChainComplex, C: ChainComplex, k: ChainMap,
+                 r: ChainMap, Z: ChainComplex, gtilde: ChainMap, qtilde: ChainMap,
+                 ptilde: ChainMap, pC: ChainMap, problem: LiftProblem):
+        self.K = K
+        self.T = T
+        self.C = C
+        self.k = k              # K -> T
+        self.r = r              # T -> C
+        self.Z = Z              # pullback of (q, g)
+        self.gtilde = gtilde    # Z -> L
+        self.qtilde = qtilde    # Z -> B
+        self.ptilde = ptilde    # Z -> T
+        self.pC = pC            # B -> C (cokernel projection of i)
+        self.problem = problem
 
 
 def build_T(problem: LiftProblem) -> Extension:

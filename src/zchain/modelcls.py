@@ -23,8 +23,6 @@ splitting assembles an explicit contraction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 from . import certify
 from .errors import NotFree
 from .complexes import (
@@ -62,14 +60,33 @@ def _member(name):
     return property(lambda self: all(getattr(self, part) for part in CLASSES[name]))
 
 
-@dataclass(frozen=True)
 class MapClassification:
-    injective: bool
-    surjective: bool
-    coker_degreewise_free: bool
-    quasi_iso: bool
-    kernel_acyclic: bool
-    coker_acyclic: bool
+    """The six booleans of classify; immutable, compared and hashed by value."""
+
+    __slots__ = ("injective", "surjective", "coker_degreewise_free", "quasi_iso",
+                 "kernel_acyclic", "coker_acyclic")
+
+    def __init__(self, injective: bool, surjective: bool, coker_degreewise_free: bool,
+                 quasi_iso: bool, kernel_acyclic: bool, coker_acyclic: bool):
+        for name, value in zip(self.__slots__, (injective, surjective, coker_degreewise_free,
+                                                quasi_iso, kernel_acyclic, coker_acyclic)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MapClassification is immutable")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, MapClassification) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"MapClassification({fields})"
 
     cofibration = _member("cofibration")
     fibration = _member("fibration")
@@ -82,7 +99,7 @@ class MapClassification:
         return tuple(name for name in CLASSES if getattr(self, name))
 
     def as_dict(self):
-        return {**asdict(self), "labels": list(self.labels)}
+        return dict(zip(self.__slots__, self._key()), labels=list(self.labels))
 
 
 @memoized_on_map
@@ -113,23 +130,24 @@ def classify(f: ChainMap) -> MapClassification:
     )
 
 
-@dataclass
 class SplitDegree:
     """Coordinates of one degree of a free splitting, on the ambient
     generators: embeddings of the Y and Z bases and coordinate extractors."""
 
-    y_amb: IntMatrix       # ambient <- Y
-    z_amb: IntMatrix       # ambient <- Z
-    y_coords: IntMatrix    # Y <- ambient
-    z_coords: IntMatrix    # Z <- ambient
+    def __init__(self, y_amb: IntMatrix, z_amb: IntMatrix, y_coords: IntMatrix,
+                 z_coords: IntMatrix):
+        self.y_amb = y_amb          # ambient <- Y
+        self.z_amb = z_amb          # ambient <- Z
+        self.y_coords = y_coords    # Y <- ambient
+        self.z_coords = z_coords    # Z <- ambient
 
 
-@dataclass
 class FreeSplitting:
     """A_n = Y_n + Z_n with d(y + z) = d'(y), Z_n = ker(d_n), d' injective."""
 
-    complex: ChainComplex
-    degrees: dict = field(default_factory=dict)   # n -> SplitDegree
+    def __init__(self, complex: ChainComplex):
+        self.complex = complex
+        self.degrees = {}   # n -> SplitDegree
 
     def y_rank(self, n) -> int:
         d = self.degrees.get(n)
@@ -176,14 +194,14 @@ def split_free_complex(a: ChainComplex) -> FreeSplitting:
     return split
 
 
-@dataclass
 class Homotopy:
     """Degree +1 maps r(n): A_n -> K_{n+1}; the identity d r + r d = (stated
     map) is certified by the operation that produced the homotopy."""
 
-    src: ChainComplex
-    dst: ChainComplex
-    components: dict
+    def __init__(self, src: ChainComplex, dst: ChainComplex, components: dict):
+        self.src = src
+        self.dst = dst
+        self.components = components
 
     def component(self, n) -> IntMatrix:
         m = self.components.get(n)

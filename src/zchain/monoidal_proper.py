@@ -11,8 +11,6 @@ opposite map of the square directly.  The certificates run through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import certify
 from .errors import NotCofibration, PreconditionFailed
 from .abelian import GroupHom, factor_through
@@ -32,14 +30,15 @@ from .intlinalg import hstack, vstack
 from .modelcls import MapClassification, classify
 
 
-@dataclass
 class PushoutData:
     """P = (B + C) / (i - f)(A) with its two legs and universal factorization."""
 
-    complex: ChainComplex
-    from_first: ChainMap    # B -> P
-    from_second: ChainMap   # C -> P
-    span: tuple             # (i, f)
+    def __init__(self, complex: ChainComplex, from_first: ChainMap, from_second: ChainMap,
+                 span: tuple):
+        self.complex = complex
+        self.from_first = from_first      # B -> P
+        self.from_second = from_second    # C -> P
+        self.span = span                  # (i, f)
 
     def induce(self, u, v):
         """The unique map P -> Q with (P -> Q) o legs = (u, v)."""
@@ -68,15 +67,16 @@ def pushout(i: ChainMap, f: ChainMap) -> PushoutData:
     )
 
 
-@dataclass
 class PullbackData:
     """P = {(x, y) : first(x) = second(y)} with projections and induction."""
 
-    complex: ChainComplex
-    to_first: ChainMap      # P -> src(first)
-    to_second: ChainMap     # P -> src(second)
-    incl: ChainMap          # P -> src(first) + src(second)
-    cospan: tuple           # (first, second)
+    def __init__(self, complex: ChainComplex, to_first: ChainMap, to_second: ChainMap,
+                 incl: ChainMap, cospan: tuple):
+        self.complex = complex
+        self.to_first = to_first      # P -> src(first)
+        self.to_second = to_second    # P -> src(second)
+        self.incl = incl              # P -> src(first) + src(second)
+        self.cospan = cospan          # (first, second)
 
     def induce(self, u, v):
         """The unique map W -> P with legs u, v (first o u = second o v)."""
@@ -109,16 +109,17 @@ def pullback(first: ChainMap, second: ChainMap) -> PullbackData:
     )
 
 
-@dataclass
 class PushoutProductCert:
     """The induced map out of the pushout corner, with its cofibration
     certificate: injectivity plus an isomorphism from its cokernel onto the
     tensor of the two cokernels."""
 
-    k: ChainMap                      # P -> B (x) D
-    m: ChainMap                      # coker(k) -> coker(i) (x) coker(j)
-    coker_k: ChainComplex
-    classification: MapClassification
+    def __init__(self, k: ChainMap, m: ChainMap, coker_k: ChainComplex,
+                 classification: MapClassification):
+        self.k = k                  # P -> B (x) D
+        self.m = m                  # coker(k) -> coker(i) (x) coker(j)
+        self.coker_k = coker_k
+        self.classification = classification
 
 
 def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
@@ -157,16 +158,17 @@ def pushout_product(i: ChainMap, j: ChainMap) -> PushoutProductCert:
     return PushoutProductCert(k, m, ck, classify(k))
 
 
-@dataclass
 class ProperReport:
     """Certificate that the opposite map of a (co)base-change square of a
     weak equivalence is again a weak equivalence, with the homology ladder
     evidence."""
 
-    kind: str
-    opposite: ChainMap
-    classification: MapClassification
-    ladder: list
+    def __init__(self, kind: str, opposite: ChainMap, classification: MapClassification,
+                 ladder: list):
+        self.kind = kind
+        self.opposite = opposite
+        self.classification = classification
+        self.ladder = ladder
 
     @property
     def certified(self):

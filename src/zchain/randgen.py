@@ -8,7 +8,6 @@ generator per case from (seed, case index).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .abelian import free_group, kernel, mk_group, mk_hom, preimage_lattice
 from .complexes import (
@@ -113,7 +112,6 @@ def _element_of_order(rng, g, d):
     return g.canon(tuple(v))
 
 
-@dataclass
 class PieceSum:
     """Direct sum of elementary complexes with its inclusion/projection maps.
 
@@ -122,10 +120,11 @@ class PieceSum:
     ("opaque", None, None) otherwise.
     """
 
-    complex: ChainComplex
-    pieces: list
-    incls: list
-    projs: list
+    def __init__(self, complex: ChainComplex, pieces: list, incls: list, projs: list):
+        self.complex = complex
+        self.pieces = pieces
+        self.incls = incls
+        self.projs = projs
 
 
 def random_finite_complex(rng, max_order=8, lo=-3, hi=3, max_pieces=3, with_pieces=False):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import resource
@@ -17,7 +16,7 @@ from zchain.documents import (
 )
 from zchain.errors import DocumentError
 from zchain.factor import gamma
-from zchain.intlinalg import IntMatrix, snf
+from zchain.intlinalg import IntMatrix, SnfResult, snf
 from zchain.modelcls import MapClassification
 from zchain.randgen import random_finite_chain_map, random_finite_complex, rng_for
 
@@ -516,7 +515,7 @@ def test_help_exits_0_with_usage_on_stdout():
 def test_verify_degree_window_is_capped(capsys, monkeypatch, cap, window, reaches):
     # run_verify is a stub, so no window, however wide, runs the suite
     calls = []
-    monkeypatch.setattr("zchain.cli.run_verify", lambda *args, degrees, **kwargs:
+    monkeypatch.setattr("zchain.verify.run_verify", lambda *args, degrees, **kwargs:
                         calls.append(degrees) or {"status": "pass"})
     if cap is None:
         monkeypatch.delenv("ZCHAIN_MAX_RANK", raising=False)
@@ -543,7 +542,7 @@ def test_verify_max_order_is_capped(capsys, monkeypatch, cap, order, reaches):
     # every group verify draws has order at most --max-order, and I(A) has
     # rank |A| - 1, so the cap bounds the order by cap + 1
     calls = []
-    monkeypatch.setattr("zchain.cli.run_verify", lambda *args, max_order, **kwargs:
+    monkeypatch.setattr("zchain.verify.run_verify", lambda *args, max_order, **kwargs:
                         calls.append(max_order) or {"status": "pass"})
     if cap is None:
         monkeypatch.delenv("ZCHAIN_MAX_RANK", raising=False)
@@ -575,7 +574,7 @@ def test_integer_spellings_follow_the_decimal_rule(capsys, monkeypatch, env, fla
     # flag bounds and ZCHAIN_MAX_RANK read integers as degree keys do: an
     # optional sign and ASCII digits
     calls = []
-    monkeypatch.setattr("zchain.cli.run_verify", lambda *args, **kwargs:
+    monkeypatch.setattr("zchain.verify.run_verify", lambda *args, **kwargs:
                         calls.append(args) or {"status": "pass"})
     if env is None:
         monkeypatch.delenv("ZCHAIN_MAX_RANK", raising=False)
@@ -595,7 +594,7 @@ def test_non_unimodular_transform_exit_1(capsys, monkeypatch):
         res = snf(m)
         if m.cols or not m.rows:
             return res
-        return dataclasses.replace(res, U=IntMatrix.identity(m.rows).scale(2))
+        return SnfResult(res.D, IntMatrix.identity(m.rows).scale(2), res.V, res.rank)
 
     monkeypatch.setattr("zchain.verify.snf", snf_with_doubled_u)
     code, out = run_cli(capsys, ["verify", "--seed", "1"])

@@ -225,7 +225,7 @@ def test_verify_flags_exit_cleanly(monkeypatch):
     # the suite itself is a stub, so no window or case count, however large,
     # runs anything slow
     calls = []
-    monkeypatch.setattr("zchain.cli.run_verify",
+    monkeypatch.setattr("zchain.verify.run_verify",
                         lambda seed, cases, max_order, degrees:
                         calls.append((cases, max_order, degrees)) or {"status": "pass"})
     monkeypatch.setenv("ZCHAIN_MAX_RANK", str(CAP))

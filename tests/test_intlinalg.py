@@ -1,8 +1,11 @@
 import hashlib
 import random
 
+import pytest
+
 from zchain.intlinalg import (
     IntMatrix,
+    SnfResult,
     hnf,
     inverse_unimodular,
     kernel_basis,
@@ -88,6 +91,16 @@ def test_snf_examples():
 
     res = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert res.diagonal == (2, 4)
+
+
+def test_snf_result_is_an_immutable_value():
+    res = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    same = SnfResult(res.D, res.U, res.V, res.rank)
+    assert same is not res and same == res and hash(same) == hash(res)
+    assert SnfResult(res.D, res.U, res.V, res.rank - 1) != res
+    assert SnfResult(res.D, res.V, res.U, res.rank) != res
+    with pytest.raises(AttributeError):
+        res.U = res.V
 
 
 def test_kernel_examples():

@@ -280,6 +280,19 @@ def test_rlp_detects_acyclic_fibrations():
                 assert rlp_sphere(q, n, cyc, bp) is not None
 
 
+def test_lift_problem_names_the_degree_where_the_square_fails():
+    # on Z in degrees 0 and 1, q f = 1 while g i is 1 in degree 0 and 3 in degree 1
+    c = mk_complex((0, 1), {0: Z, 1: Z}, {})
+    one = identity_chain_map(c)
+    g = mk_chain_map(c, c, {0: IntMatrix.from_rows([[1]]), 1: IntMatrix.from_rows([[3]])})
+    with pytest.raises(PreconditionFailed) as info:
+        LiftProblem(one, one, one, g)
+    assert (str(info.value), info.value.degree) == ("square does not commute", 1)
+    with pytest.raises(PreconditionFailed) as info:
+        LiftProblem(i=one, q=one, f=one, g=g)
+    assert info.value.degree == 1
+
+
 def test_rlp_validates_squares():
     # on the disk Z --1--> Z in degrees 1, 0 the generator of degree 1 is no
     # cycle; on S^0(Z) mapped by 2, B_1 = 0 gives d b' = 0, while q a = 2

@@ -19,7 +19,7 @@ from zchain.errors import NotFree
 from zchain.factor import factor_acf_fib, factor_cof_afb
 from zchain.intlinalg import IntMatrix
 from zchain.lifting import LiftProblem, build_T
-from zchain.modelcls import classify, is_contractible, split_free_complex
+from zchain.modelcls import MapClassification, classify, is_contractible, split_free_complex
 from zchain.randgen import (
     random_acyclic_fibration,
     random_finite_chain_map,
@@ -36,6 +36,20 @@ from oracles import dprime_invertible
 
 
 Z = free_group(1)
+
+
+def test_map_classification_is_an_immutable_value():
+    flags = {"injective": True, "surjective": False, "coker_degreewise_free": True,
+             "quasi_iso": True, "kernel_acyclic": True, "coker_acyclic": True}
+    cls = MapClassification(**flags)
+    same = MapClassification(*flags.values())
+    assert same is not cls and same == cls and hash(same) == hash(cls)
+    assert MapClassification(**{**flags, "quasi_iso": False}) != cls
+    with pytest.raises(AttributeError):
+        cls.injective = False
+    assert cls.as_dict() == {**flags, "labels": ["cofibration", "weak_equivalence",
+                                                 "acyclic_cofibration"]}
+    assert list(cls.as_dict()) == [*flags, "labels"]
 
 
 def test_classify_examples():
